@@ -3,12 +3,17 @@
 Three levels: bare network parameters, a full agent (networks, targets,
 optimizer moments), and a complete training snapshot (agent plus replay
 buffer, noise/integrator state, rng states, and environment state) that
-resumes bit-exactly.
+resumes bit-exactly.  Members are stored uncompressed, as float64 weights,
+moments and replay rows barely deflate; older deflated files still load.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -46,88 +51,49 @@ def _unjsonable(obj):
     return obj
 
 
-# -- bare networks ---------------------------------------------------------
+# -- file format -----------------------------------------------------------
 
-def save_network(path: str | Path, params: MlpParams) -> None:
-    arrays = {}
-    for j, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{j}"] = w
-        arrays[f"b{j}"] = b
-    meta = {
-        "version": FORMAT_VERSION,
-        "layer_sizes": params.layer_sizes,
-        "beta": params.beta,
-        "output_activation": params.output_activation,
-    }
-    np.savez(path, meta=json.dumps(meta), **arrays)
-
-
-def load_network(path: str | Path) -> MlpParams:
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
-    if meta.get("version") != FORMAT_VERSION:
-        raise ConfigurationError(f"unsupported network checkpoint version {meta.get('version')}")
-    sizes = meta["layer_sizes"]
-    weights = [data[f"w{j}"] for j in range(len(sizes) - 1)]
-    biases = [data[f"b{j}"] for j in range(len(sizes) - 1)]
-    params = MlpParams(sizes, weights, biases, meta["beta"], meta["output_activation"])
-    params.validate()
-    return params
+def _write_npz(path: str | Path, meta: dict, arrays: dict) -> None:
+    """Write ``meta`` (json, with the format version) and ``arrays`` to a
+    temporary file beside ``path``, then rename it over ``path``: a crash or
+    kill mid-write leaves the previous file intact (no fsync, so not power
+    loss).  Like ``np.savez``, a missing ``.npz`` suffix is appended."""
+    dest = os.fspath(path)
+    if not dest.endswith(".npz"):
+        dest += ".npz"
+    tmp = f"{dest}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, meta=json.dumps({"version": FORMAT_VERSION, **meta}), **arrays)
+        os.replace(tmp, dest)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
-# -- optimizer states ------------------------------------------------------
-
-def _pack_optimizer(prefix: str, state, arrays: dict) -> dict:
-    if isinstance(state, AdamState):
-        for j, (mw, mb, vw, vb) in enumerate(zip(state.m_w, state.m_b, state.v_w, state.v_b)):
-            arrays[f"{prefix}_mw{j}"] = mw
-            arrays[f"{prefix}_mb{j}"] = mb
-            arrays[f"{prefix}_vw{j}"] = vw
-            arrays[f"{prefix}_vb{j}"] = vb
-        return {"kind": "adam", "step": state.step, "beta1": state.beta1,
-                "beta2": state.beta2, "eps": state.eps, "layers": len(state.m_w)}
-    if isinstance(state, SgdState):
-        for j, (vw, vb) in enumerate(zip(state.vel_w, state.vel_b)):
-            arrays[f"{prefix}_vw{j}"] = vw
-            arrays[f"{prefix}_vb{j}"] = vb
-        return {"kind": "sgd", "momentum": state.momentum, "layers": len(state.vel_w)}
-    if isinstance(state, RmsPropState):
-        for j, (sw, sb) in enumerate(zip(state.sq_w, state.sq_b)):
-            arrays[f"{prefix}_sw{j}"] = sw
-            arrays[f"{prefix}_sb{j}"] = sb
-        return {"kind": "rmsprop", "rho": state.rho, "eps": state.eps, "layers": len(state.sq_w)}
-    raise ConfigurationError(f"unknown optimizer state {type(state)!r}")
+@contextlib.contextmanager
+def _reading(path: str | Path, kind: str):
+    """Yield ``(meta, data)``; unreadable files, missing members (also when
+    looked up inside the ``with`` block) and other versions raise
+    ConfigurationError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            if meta.get("version") != FORMAT_VERSION:
+                raise ConfigurationError(
+                    f"unsupported {kind} checkpoint version {meta.get('version')}")
+            yield meta, data
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _unpack_optimizer(prefix: str, meta: dict, data):
-    n = meta["layers"]
-    if meta["kind"] == "adam":
-        return AdamState(
-            m_w=[data[f"{prefix}_mw{j}"] for j in range(n)],
-            m_b=[data[f"{prefix}_mb{j}"] for j in range(n)],
-            v_w=[data[f"{prefix}_vw{j}"] for j in range(n)],
-            v_b=[data[f"{prefix}_vb{j}"] for j in range(n)],
-            step=meta["step"], beta1=meta["beta1"], beta2=meta["beta2"], eps=meta["eps"],
-        )
-    if meta["kind"] == "sgd":
-        return SgdState(
-            momentum=meta["momentum"],
-            vel_w=[data[f"{prefix}_vw{j}"] for j in range(n)],
-            vel_b=[data[f"{prefix}_vb{j}"] for j in range(n)],
-        )
-    if meta["kind"] == "rmsprop":
-        return RmsPropState(
-            sq_w=[data[f"{prefix}_sw{j}"] for j in range(n)],
-            sq_b=[data[f"{prefix}_sb{j}"] for j in range(n)],
-            rho=meta["rho"], eps=meta["eps"],
-        )
-    raise ConfigurationError(f"unknown optimizer kind {meta['kind']!r}")
-
+# -- networks --------------------------------------------------------------
 
 def _pack_network(prefix: str, params: MlpParams, arrays: dict) -> dict:
     for j, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"{prefix}_w{j}"] = w
-        arrays[f"{prefix}_b{j}"] = b
+        arrays[f"{prefix}w{j}"] = w
+        arrays[f"{prefix}b{j}"] = b
     return {
         "layer_sizes": params.layer_sizes,
         "beta": params.beta,
@@ -139,92 +105,123 @@ def _unpack_network(prefix: str, meta: dict, data) -> MlpParams:
     sizes = meta["layer_sizes"]
     return MlpParams(
         layer_sizes=sizes,
-        weights=[data[f"{prefix}_w{j}"].copy() for j in range(len(sizes) - 1)],
-        biases=[data[f"{prefix}_b{j}"].copy() for j in range(len(sizes) - 1)],
+        weights=[data[f"{prefix}w{j}"] for j in range(len(sizes) - 1)],
+        biases=[data[f"{prefix}b{j}"] for j in range(len(sizes) - 1)],
         beta=meta["beta"],
         output_activation=meta["output_activation"],
     )
 
 
+def save_network(path: str | Path, params: MlpParams) -> None:
+    arrays: dict = {}
+    _write_npz(path, _pack_network("", params, arrays), arrays)
+
+
+def load_network(path: str | Path) -> MlpParams:
+    with _reading(path, "network") as (meta, data):
+        params = _unpack_network("", meta, data)
+    params.validate()
+    return params
+
+
+# -- optimizer states ------------------------------------------------------
+
+# kind -> (state class, {array key code: per-layer list field}, scalar fields)
+_OPTIMIZERS = {
+    "adam": (AdamState, {"mw": "m_w", "mb": "m_b", "vw": "v_w", "vb": "v_b"},
+             ("step", "beta1", "beta2", "eps")),
+    "sgd": (SgdState, {"vw": "vel_w", "vb": "vel_b"}, ("momentum",)),
+    "rmsprop": (RmsPropState, {"sw": "sq_w", "sb": "sq_b"}, ("rho", "eps")),
+}
+
+
+def _pack_optimizer(prefix: str, state, arrays: dict) -> dict:
+    for kind, (cls, lists, scalars) in _OPTIMIZERS.items():
+        if isinstance(state, cls):
+            per_layer = [getattr(state, name) for name in lists.values()]
+            for j in range(len(per_layer[0])):
+                for code, values in zip(lists, per_layer):
+                    arrays[f"{prefix}_{code}{j}"] = values[j]
+            return {"kind": kind, **{k: getattr(state, k) for k in scalars},
+                    "layers": len(per_layer[0])}
+    raise ConfigurationError(f"unknown optimizer state {type(state)!r}")
+
+
+def _unpack_optimizer(prefix: str, meta: dict, data):
+    if meta["kind"] not in _OPTIMIZERS:
+        raise ConfigurationError(f"unknown optimizer kind {meta['kind']!r}")
+    cls, lists, scalars = _OPTIMIZERS[meta["kind"]]
+    return cls(
+        **{name: [data[f"{prefix}_{code}{j}"] for j in range(meta["layers"])]
+           for code, name in lists.items()},
+        **{k: meta[k] for k in scalars},
+    )
+
+
 # -- full agents -----------------------------------------------------------
+
+def _pack_agent(agent: DdpgAgent, arrays: dict) -> dict:
+    return {
+        "agent_config": _jsonable(vars(agent.config)),
+        "actor": _pack_network("actor_", agent.actor, arrays),
+        "critic": _pack_network("critic_", agent.critic, arrays),
+        "actor_target": _pack_network("actor_t_", agent.actor_target, arrays),
+        "critic_target": _pack_network("critic_t_", agent.critic_target, arrays),
+        "actor_opt": _pack_optimizer("aopt", agent.actor_opt, arrays),
+        "critic_opt": _pack_optimizer("copt", agent.critic_opt, arrays),
+    }
+
+
+def _unpack_agent(meta: dict, data, agent: DdpgAgent) -> None:
+    """Replace ``agent``'s networks and optimizer states with the stored ones."""
+    agent.actor = _unpack_network("actor_", meta["actor"], data)
+    agent.critic = _unpack_network("critic_", meta["critic"], data)
+    agent.actor_target = _unpack_network("actor_t_", meta["actor_target"], data)
+    agent.critic_target = _unpack_network("critic_t_", meta["critic_target"], data)
+    agent.actor_opt = _unpack_optimizer("aopt", meta["actor_opt"], data)
+    agent.critic_opt = _unpack_optimizer("copt", meta["critic_opt"], data)
+
 
 def save_agent(path: str | Path, agent: DdpgAgent, extra: dict | None = None) -> None:
     arrays: dict = {}
-    meta = {
-        "version": FORMAT_VERSION,
-        "agent_config": _jsonable(vars(agent.config)),
-        "actor": _pack_network("actor", agent.actor, arrays),
-        "critic": _pack_network("critic", agent.critic, arrays),
-        "actor_target": _pack_network("actor_t", agent.actor_target, arrays),
-        "critic_target": _pack_network("critic_t", agent.critic_target, arrays),
-        "actor_opt": _pack_optimizer("aopt", agent.actor_opt, arrays),
-        "critic_opt": _pack_optimizer("copt", agent.critic_opt, arrays),
-        "extra": _jsonable(extra or {}),
-    }
-    np.savez(path, meta=json.dumps(meta), **arrays)
+    meta = _pack_agent(agent, arrays)
+    meta["extra"] = _jsonable(extra or {})
+    _write_npz(path, meta, arrays)
 
 
 def load_agent(path: str | Path) -> tuple[DdpgAgent, dict]:
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
-    if meta.get("version") != FORMAT_VERSION:
-        raise ConfigurationError(f"unsupported agent checkpoint version {meta.get('version')}")
-    cfg = AgentConfig(**_unjsonable(meta["agent_config"]))
-    agent = DdpgAgent.__new__(DdpgAgent)
-    agent.config = cfg
-    agent.actor = _unpack_network("actor", meta["actor"], data)
-    agent.critic = _unpack_network("critic", meta["critic"], data)
-    agent.actor_target = _unpack_network("actor_t", meta["actor_target"], data)
-    agent.critic_target = _unpack_network("critic_t", meta["critic_target"], data)
-    agent.actor_opt = _unpack_optimizer("aopt", meta["actor_opt"], data)
-    agent.critic_opt = _unpack_optimizer("copt", meta["critic_opt"], data)
-    return agent, _unjsonable(meta["extra"])
+    with _reading(path, "agent") as (meta, data):
+        # Skip __init__: its random initialization would be overwritten.
+        agent = DdpgAgent.__new__(DdpgAgent)
+        agent.config = AgentConfig(**_unjsonable(meta["agent_config"]))
+        _unpack_agent(meta, data, agent)
+        return agent, _unjsonable(meta["extra"])
 
 
 # -- full training snapshots ------------------------------------------------
 
 def save_trainer(path: str | Path, trainer, config_echo: dict | None = None) -> None:
-    arrays: dict = {}
-    agent = trainer.agent
     state = trainer.state_dict()
     buffer = state.pop("buffer")
-    for key, val in buffer.items():
-        if isinstance(val, np.ndarray):
-            arrays[f"buf_{key}"] = val
-    meta = {
-        "version": FORMAT_VERSION,
-        "agent_config": _jsonable(vars(agent.config)),
-        "actor": _pack_network("actor", agent.actor, arrays),
-        "critic": _pack_network("critic", agent.critic, arrays),
-        "actor_target": _pack_network("actor_t", agent.actor_target, arrays),
-        "critic_target": _pack_network("critic_t", agent.critic_target, arrays),
-        "actor_opt": _pack_optimizer("aopt", agent.actor_opt, arrays),
-        "critic_opt": _pack_optimizer("copt", agent.critic_opt, arrays),
-        "trainer_state": _jsonable(state),
-        "buffer_scalars": {"cursor": buffer["cursor"], "count": buffer["count"]},
-        "config_echo": _jsonable(config_echo or {}),
-    }
-    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+    arrays = {f"buf_{k}": v for k, v in buffer.items() if isinstance(v, np.ndarray)}
+    meta = _pack_agent(trainer.agent, arrays)
+    meta["trainer_state"] = _jsonable(state)
+    meta["buffer_scalars"] = {"cursor": buffer["cursor"], "count": buffer["count"]}
+    meta["config_echo"] = _jsonable(config_echo or {})
+    _write_npz(path, meta, arrays)
+
+
+def load_config_echo(path: str | Path) -> dict:
+    """The effective configuration stored by ``save_trainer``."""
+    with _reading(path, "trainer") as (meta, _):
+        return meta["config_echo"]
 
 
 def load_trainer_into(path: str | Path, trainer) -> None:
     """Restore a snapshot into a Trainer built from the identical config."""
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
-    if meta.get("version") != FORMAT_VERSION:
-        raise ConfigurationError(f"unsupported trainer checkpoint version {meta.get('version')}")
-    agent = trainer.agent
-    agent.actor = _unpack_network("actor", meta["actor"], data)
-    agent.critic = _unpack_network("critic", meta["critic"], data)
-    agent.actor_target = _unpack_network("actor_t", meta["actor_target"], data)
-    agent.critic_target = _unpack_network("critic_t", meta["critic_target"], data)
-    agent.actor_opt = _unpack_optimizer("aopt", meta["actor_opt"], data)
-    agent.critic_opt = _unpack_optimizer("copt", meta["critic_opt"], data)
-    state = _unjsonable(meta["trainer_state"])
-    state["buffer"] = {
-        "obs": data["buf_obs"], "act": data["buf_act"], "rew": data["buf_rew"],
-        "next": data["buf_next"], "term": data["buf_term"],
-        "cursor": meta["buffer_scalars"]["cursor"],
-        "count": meta["buffer_scalars"]["count"],
-    }
+    with _reading(path, "trainer") as (meta, data):
+        _unpack_agent(meta, data, trainer.agent)
+        state = _unjsonable(meta["trainer_state"])
+        state["buffer"] = {k: data[f"buf_{k}"] for k in ("obs", "act", "rew", "next", "term")}
+        state["buffer"].update(meta["buffer_scalars"])
     trainer.load_state_dict(state)

@@ -17,11 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import ConfigurationError, EnvironmentFault, TrainingFault
-from .checkpoint import load_agent, load_trainer_into, save_agent, save_trainer
+from .checkpoint import (
+    load_agent,
+    load_config_echo,
+    load_trainer_into,
+    save_agent,
+    save_trainer,
+)
 from .config import RunConfig, parse_config, parse_override_strings
 from .ddpg.train import Trainer
 from .evaluation.experiment import (
     AgentPolicy,
+    build_eval_env,
     build_training_env,
     evaluate_policy,
     run_experiment,
@@ -64,6 +71,19 @@ def _load_config(args) -> tuple[RunConfig, int, Path]:
     return cfg, cfg["seed"], out_dir
 
 
+def _check_resume_config(path: Path, current: dict) -> None:
+    """Refuse to resume a snapshot written under different config values;
+    only the output directory may change."""
+    stored = load_config_echo(path).get("values", {})
+    missing = "<unset>"
+    diffs = [f"{key}: checkpoint {stored.get(key, missing)!r}, now {current.get(key, missing)!r}"
+             for key in sorted(stored.keys() | current.keys())
+             if key != "out_dir" and stored.get(key, missing) != current.get(key, missing)]
+    if diffs:
+        raise ConfigurationError(
+            f"checkpoint {path} was written with a different config: " + "; ".join(diffs))
+
+
 def cmd_train(args) -> int:
     cfg, seed, out_dir = _load_config(args)
     variant = cfg["agent.variant"]
@@ -77,21 +97,23 @@ def cmd_train(args) -> int:
     agent_cfg = cfg.agent_config(wrapped.obs_dim, width)
 
     ckpt_path = out_dir / "checkpoint.npz"
+    config_echo = json.loads(cfg.to_json())
 
     def checkpoint_fn(trainer):
-        save_trainer(ckpt_path, trainer, config_echo=json.loads(cfg.to_json()))
+        save_trainer(ckpt_path, trainer, config_echo=config_echo)
         log.info("checkpoint written at step %d", trainer.step)
 
     settings = cfg.train_settings(checkpoint_fn=checkpoint_fn)
     trainer = Trainer(wrapped, agent_cfg, settings, seed)
     if args.resume is not None:
+        _check_resume_config(args.resume, config_echo["values"])
         load_trainer_into(args.resume, trainer)
         log.info("resumed from %s at step %d", args.resume, trainer.step)
     try:
         result = trainer.run(until_step=args.until_step)
     except KeyboardInterrupt:
         # Safe interruption: freeze the full training state for --resume.
-        save_trainer(ckpt_path, trainer, config_echo=json.loads(cfg.to_json()))
+        save_trainer(ckpt_path, trainer, config_echo=config_echo)
         (out_dir / "events.json").write_text(json.dumps(trainer.events, indent=1))
         print(json.dumps({"interrupted_at_step": trainer.step,
                           "resume_from": str(ckpt_path)}), file=sys.stderr)
@@ -101,7 +123,7 @@ def cmd_train(args) -> int:
         (out_dir / "events.json").write_text(json.dumps(trainer.events, indent=1))
         raise
 
-    save_trainer(ckpt_path, trainer, config_echo=json.loads(cfg.to_json()))
+    save_trainer(ckpt_path, trainer, config_echo=config_echo)
     save_agent(out_dir / "agent.npz", result.agent, extra={
         "variant": variant, "seed": seed, "env_kind": cfg["env.kind"],
         "sec": {"t_i": cfg["sec.t_i"], "t_aw": cfg["sec.t_aw"]},
@@ -122,16 +144,14 @@ def cmd_eval(args) -> int:
     if env_kind != cfg["env.kind"]:
         log.warning("checkpoint env %s overrides config env %s", env_kind, cfg["env.kind"])
         cfg.values["env.kind"] = env_kind
-    m = 3 if env_kind == "grid" else 2
-    expected_obs = (18 + 3 * cfg["env.past_measurements"]) if env_kind == "grid" \
-        else (10 + 2 * cfg["env.past_measurements"])
-    if agent.actor.layer_sizes[0] != expected_obs:
+    env = build_eval_env(cfg, env_kind)
+    if agent.actor.layer_sizes[0] != env.obs_dim:
         raise ConfigurationError(
             f"checkpoint actor expects {agent.actor.layer_sizes[0]} features, "
-            f"environment provides {expected_obs}"
+            f"environment provides {env.obs_dim}"
         )
     sec_info = extra.get("sec", {})
-    policy = AgentPolicy(agent.actor, m=m,
+    policy = AgentPolicy(agent.actor, m=env.action_dim,
                          t_i=sec_info.get("t_i", cfg["sec.t_i"]),
                          t_aw=sec_info.get("t_aw", cfg["sec.t_aw"]))
     cases = [TestCase.load(p) for p in args.testcase]

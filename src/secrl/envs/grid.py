@@ -337,4 +337,8 @@ class GridEnv:
             np.asarray(s["last_v"], dtype=np.float64).copy(),
             np.asarray(s["last_i"], dtype=np.float64).copy(),
         )
-        self.r_load = self._load.value
+        if self._load_schedule is not None:
+            # The entry the last step applied (reset applies entry 0).
+            self.r_load = float(self._load_schedule[max(self._step_in_episode - 1, 0)])
+        else:
+            self.r_load = self._load.value

@@ -1,10 +1,21 @@
-"""Serialization: versioned network files and full-agent round trips."""
+"""Serialization: versioned network files and full-agent round trips,
+atomic writes, older deflated files and unreadable files."""
+
+import zipfile
 
 import numpy as np
 import pytest
+from test_train import make_sec_grid_trainer
 
 from secrl import ConfigurationError
-from secrl.checkpoint import load_agent, load_network, save_agent, save_network
+from secrl.checkpoint import (
+    load_agent,
+    load_network,
+    load_trainer_into,
+    save_agent,
+    save_network,
+    save_trainer,
+)
 from secrl.ddpg.agent import AgentConfig, DdpgAgent, critic_update
 from secrl.nn.mlp import mlp_forward, mlp_init
 from secrl.seeding import derive_rng
@@ -68,3 +79,100 @@ def test_unsupported_version_rejected(tmp_path):
     np.savez(tmp_path / "bad.npz", meta=json.dumps(meta), **data)
     with pytest.raises(ConfigurationError):
         load_network(tmp_path / "bad.npz")
+
+
+def _members(path):
+    with np.load(path, allow_pickle=False) as data:
+        return {k: data[k] for k in data.files}
+
+
+def _assert_same_snapshot(path_a, path_b):
+    a, b = _members(path_a), _members(path_b)
+    assert list(a) == list(b)
+    for key in a:
+        assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ck.npz"
+    trainer = make_sec_grid_trainer(seed=33, steps=260, episode_steps=90)
+    trainer.run(until_step=130)
+    save_trainer(path, trainer)
+    twin = make_sec_grid_trainer(seed=33, steps=260, episode_steps=90)
+    twin.run(until_step=130)
+
+    trainer.run(until_step=200)
+    write_array = np.lib.format.write_array
+    calls = []
+
+    def failing_write_array(*args, **kwargs):
+        if calls:
+            raise OSError("disk full")
+        calls.append(1)
+        return write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", failing_write_array)
+    with pytest.raises(OSError, match="disk full"):
+        save_trainer(path, trainer)
+    monkeypatch.undo()
+    assert calls and sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
+
+    resumed = make_sec_grid_trainer(seed=33, steps=260, episode_steps=90)
+    load_trainer_into(path, resumed)
+    assert resumed.step == 130
+    resumed.run()
+    twin.run()
+    assert np.array_equal(resumed.agent.actor.flat(), twin.agent.actor.flat())
+    assert np.array_equal(resumed.agent.critic.flat(), twin.agent.critic.flat())
+
+
+def test_compressed_checkpoint_from_older_versions_loads_bit_exact(tmp_path):
+    trainer = make_sec_grid_trainer(seed=7, steps=200, episode_steps=90)
+    trainer.run(until_step=150)
+    save_trainer(tmp_path / "stored.npz", trainer, config_echo={"seed": 7})
+    # Earlier versions wrote the same members and meta, deflated.
+    np.savez_compressed(tmp_path / "deflated.npz", **_members(tmp_path / "stored.npz"))
+
+    for name in ("stored", "deflated"):
+        fresh = make_sec_grid_trainer(seed=7, steps=200, episode_steps=90)
+        load_trainer_into(tmp_path / f"{name}.npz", fresh)
+        save_trainer(tmp_path / f"{name}-again.npz", fresh, config_echo={"seed": 7})
+    _assert_same_snapshot(tmp_path / "stored.npz", tmp_path / "deflated-again.npz")
+    _assert_same_snapshot(tmp_path / "stored.npz", tmp_path / "stored-again.npz")
+
+
+def test_trainer_snapshot_members_are_stored_uncompressed(tmp_path):
+    trainer = make_sec_grid_trainer(seed=2, steps=40, episode_steps=90)
+    trainer.run()
+    save_trainer(tmp_path / "ck.npz", trainer)
+    with zipfile.ZipFile(tmp_path / "ck.npz") as zf:
+        infos = zf.infolist()
+    assert len(infos) > 1
+    assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+
+
+def test_path_without_suffix_gets_npz_appended(tmp_path):
+    params = mlp_init([2, 3, 1], 0.2, "linear", 1e-3, 1e-2, derive_rng(8, 0))
+    save_network(tmp_path / "net", params)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.npz"]
+    assert np.array_equal(load_network(tmp_path / "net.npz").flat(), params.flat())
+
+
+@pytest.mark.parametrize("damage", ["truncate", "not-a-zip", "missing-member", "absent"])
+def test_unreadable_checkpoints_are_configuration_errors(tmp_path, damage):
+    cfg = AgentConfig(obs_dim=3, action_dim=2, actor_hidden=[6], critic_hidden=[8],
+                      batch_size=4, buffer_capacity=16)
+    path = tmp_path / "agent.npz"
+    save_agent(path, DdpgAgent(cfg, derive_rng(4, 0)))
+    if damage == "truncate":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif damage == "not-a-zip":
+        path.write_bytes(b"not a checkpoint\n" * 64)
+    elif damage == "missing-member":
+        members = _members(path)
+        del members["critic_w0"]
+        np.savez(path, **members)
+    else:
+        path.unlink()
+    with pytest.raises(ConfigurationError, match="cannot read checkpoint"):
+        load_agent(path)

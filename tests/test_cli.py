@@ -165,3 +165,50 @@ def test_resume_matches_straight_run(tmp_path):
     tail_agent, _ = load_agent(out_tail / "agent.npz")
     assert np.array_equal(tail_agent.actor.flat(), full_agent.actor.flat())
     assert np.array_equal(tail_agent.critic.flat(), full_agent.critic.flat())
+
+
+@pytest.fixture(scope="module")
+def paused_run(tmp_path_factory):
+    """A tiny motor run paused at step 60, and a frozen test case."""
+    root = tmp_path_factory.mktemp("paused")
+    base = ["--override", "env.kind=motor", *FAST_TRAIN, "--seed", "11"]
+    assert main(["train", "--out", str(root / "head"), *base, "--until-step", "60"]) == 0
+    assert main(["gen-testcase", "--kind", "motor-steadystate", "--seed", "8",
+                 "--out", str(root / "cases")]) == 0
+    return root, base, next((root / "cases").glob("testcase-*.npz"))
+
+
+def _error_record(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_resume_refuses_changed_config(paused_run, tmp_path, capsys):
+    root, base, _ = paused_run
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "tail"), *base,
+               "--override", "agent.gamma=0.9",
+               "--resume", str(root / "head" / "checkpoint.npz")])
+    assert rc == 2
+    err = _error_record(capsys)
+    assert err["error"] == "configuration"
+    assert "agent.gamma: checkpoint 0.946, now 0.9" in err["message"]
+    assert "out_dir" not in err["message"]
+
+
+def test_truncated_checkpoints_exit_with_configuration_error(paused_run, tmp_path, capsys):
+    root, base, case_path = paused_run
+    for name in ("checkpoint.npz", "agent.npz"):
+        blob = (root / "head" / name).read_bytes()
+        (tmp_path / name).write_bytes(blob[: len(blob) // 2])
+    capsys.readouterr()
+
+    rc = main(["train", "--out", str(tmp_path / "tail"), *base,
+               "--resume", str(tmp_path / "checkpoint.npz")])
+    assert rc == 2
+    assert "cannot read checkpoint" in _error_record(capsys)["message"]
+
+    rc = main(["eval", "--checkpoint", str(tmp_path / "agent.npz"),
+               "--testcase", str(case_path), "--override", "env.kind=motor",
+               "--out", str(tmp_path / "evalout")])
+    assert rc == 2
+    assert "cannot read checkpoint" in _error_record(capsys)["message"]

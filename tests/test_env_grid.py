@@ -308,6 +308,26 @@ class TestDeterminism:
         a, b = rollout(), rollout()
         assert np.array_equal(a, b)
 
+    def test_state_roundtrip_under_load_schedule(self):
+        schedule = np.linspace(20.0, 80.0, 50)
+        env = GridEnv(GridParams(), seed=31)
+        env.set_load_schedule(schedule)
+        env.reset()
+        u = np.array([0.2, -0.1, 0.0])
+        for _ in range(7):
+            env.step(u)
+        state = env.state_dict()
+
+        fresh = GridEnv(GridParams(), seed=5)
+        fresh.set_load_schedule(schedule)
+        fresh.reset()
+        fresh.load_state_dict(state)
+        assert fresh.r_load == env.r_load == schedule[6]
+        o1, r1, t1, i1 = env.step(u)
+        o2, r2, t2, i2 = fresh.step(u)
+        assert np.array_equal(o1, o2) and r1 == r2 and t1 == t2
+        assert fresh.r_load == env.r_load
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):
             GridParams(inductance=-1.0)
