@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .. import ConfigurationError
-from ..envs.grid import GridEnv, GridParams, grid_task_reward
+from ..envs.grid import GridEnv, GridParams, seeded_load_series
 from .pi import PiController
 
 
@@ -76,11 +76,20 @@ class GridCascadePolicy:
 
 
 def validation_score(
-    params: GridParams, gains: CascadeGains, seed: int, steps: int
+    params: GridParams, gains: CascadeGains, seed: int, steps: int,
+    load_series: np.ndarray | None = None,
 ) -> tuple[float, bool]:
     """Mean task reward (discount 0) of a closed-loop seeded episode, plus
-    whether any limit violation occurred."""
+    whether any limit violation occurred.
+
+    The episode's loads are those the live load process draws for `seed`;
+    pass them as `load_series` (``seeded_load_series(seed, steps,
+    params.dt)``) to skip drawing them again.  Replaying them as a schedule
+    gives the same episode bit for bit."""
+    if load_series is None:
+        load_series = seeded_load_series(seed, steps, params.dt)
     env = GridEnv(params, gamma=0.0, seed=seed, terminate_on_violation=False)
+    env.set_load_schedule(load_series)
     policy = GridCascadePolicy(params, gains)
     env.reset(seed=seed)
     policy.reset()
@@ -109,6 +118,7 @@ def tune_grid_cascade(
     rule (disturbance rejection), hence the asymmetric factor sets.
     """
     base = analytic_cascade_gains(params)
+    loads = seeded_load_series(seed, steps, params.dt)
     best_gains = None
     best_score = -np.inf
     trials = []
@@ -118,7 +128,7 @@ def tune_grid_cascade(
             kp_v=base.kp_v * fkp_v, ki_v=base.ki_v * fki_v,
             kp_i=base.kp_i * fkp_i, ki_i=base.ki_i * fki_i,
         )
-        score, violated = validation_score(params, gains, seed, steps)
+        score, violated = validation_score(params, gains, seed, steps, loads)
         trials.append({"gains": gains.as_dict(), "score": score, "violated": violated})
         if violated:
             continue

@@ -185,7 +185,8 @@ def cmd_gen_testcase(args) -> int:
     seg_len = cfg["experiment.segment_length"]
     radius = cfg["env.motor.reference_radius"] * cfg["env.motor.i_lim"]
     if args.kind == GRID_LOAD_PROFILE:
-        case = gen_grid_testcase(seed, args.steps or cfg["experiment.grid_transient_steps"])
+        case = gen_grid_testcase(seed, args.steps or cfg["experiment.grid_transient_steps"],
+                                 cfg["train.sampling_time"])
     elif args.kind == GRID_STEADYSTATE:
         case = gen_steadystate_testcase("grid", seed, segments, seg_len)
     elif args.kind == MOTOR_REFERENCE_PROFILE:

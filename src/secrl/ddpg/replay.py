@@ -101,12 +101,15 @@ class ReplayBuffer:
         )
 
     def state_dict(self) -> dict:
+        """The filled rows as views into the ring, not copies: they stay
+        valid only until the next push, so write or copy them first."""
+        n = self._count
         return {
-            "obs": self._obs[: self._count].copy(),
-            "act": self._act[: self._count].copy(),
-            "rew": self._rew[: self._count].copy(),
-            "next": self._next[: self._count].copy(),
-            "term": self._term[: self._count].copy(),
+            "obs": self._obs[:n],
+            "act": self._act[:n],
+            "rew": self._rew[:n],
+            "next": self._next[:n],
+            "term": self._term[:n],
             "cursor": self._cursor,
             "count": self._count,
         }

@@ -137,6 +137,8 @@ class Trainer:
     # -- checkpointing ---------------------------------------------------
 
     def state_dict(self) -> dict:
+        """Snapshot for checkpoints; its replay rows are views into the
+        ring (see ReplayBuffer.state_dict), valid until the next step."""
         return {
             "seed": self.seed,
             "step": self.step,

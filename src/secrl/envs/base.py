@@ -27,12 +27,17 @@ class LtiStepper:
     period, folded into a single (M, N) pair — for an LTI system with the
     input held constant over the period this is algebraically the same
     recursion, evaluated as x_next = M x + N (B u + c).
+
+    `a` may also be a stack (k, n, n): the same operations then run, in the
+    same order, on every matrix of the stack, and m_per/n_per are stacks
+    whose slice j equals the pair built from a[j] alone.  propagate(x, u, j)
+    uses slice j.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, dt: float, substeps: int):
         if dt <= 0 or substeps < 1:
             raise ConfigurationError(f"need dt > 0 and substeps >= 1, got {dt}, {substeps}")
-        n = a.shape[0]
+        n = a.shape[-1]
         h = dt / substeps
         ha = h * a
         ha2 = ha @ ha
@@ -51,8 +56,10 @@ class LtiStepper:
         self.b = b
         self.c = c
 
-    def propagate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.m_per @ x + self.n_per @ (self.b @ u + self.c)
+    def propagate(self, x: np.ndarray, u: np.ndarray, j: int | None = None) -> np.ndarray:
+        if j is None:
+            return self.m_per @ x + self.n_per @ (self.b @ u + self.c)
+        return self.m_per[j] @ x + self.n_per[j] @ (self.b @ u + self.c)
 
 
 class HistoryRing:

@@ -24,6 +24,8 @@ LOAD_EVENT_PROB = 0.002
 LOAD_STIFFNESS_RANGE = (10.0, 1200.0)
 LOAD_DIFFUSION_RANGE = (1.0, 150.0)
 DRIFT_STEPS_RANGE = (10, 1000)
+# Schedule entries whose propagators are built in one stacked call.
+SCHEDULE_BLOCK = 256
 
 
 @dataclass
@@ -152,6 +154,17 @@ class LoadProcess:
         self.event_count = int(s["event_count"])
 
 
+def seeded_load_series(seed: int, steps: int, dt: float) -> np.ndarray:
+    """The loads a live-process GridEnv reset with `seed` applies: entry k
+    is the load of step k, from the same STREAM_LOAD draws at period `dt`."""
+    rng = derive_rng(seed, STREAM_LOAD)
+    proc = LoadProcess.draw(rng, dt)
+    series = np.empty(steps)
+    for k in range(steps):
+        series[k] = proc.step(rng)
+    return series
+
+
 class GridEnv:
     """dq0 voltage-control environment over the LC-filter plant."""
 
@@ -172,7 +185,13 @@ class GridEnv:
         self._b[0, 0] = self._b[1, 1] = self._b[2, 2] = 1.0 / self.params.inductance
         self._c = np.zeros(6)
         self._a_template = self._make_a_template()
+        # Per-step constants; v_ref is shared by every info/measurements dict.
+        self._v_ref = self.params.v_ref
+        self._v_ref.setflags(write=False)
+        self._v_ref_feature = self._v_ref / self.params.v_lim
+        self._half_bus = self.params.v_dc / 2.0
         self._load_schedule: np.ndarray | None = None
+        self._block: tuple[int, np.ndarray, LtiStepper] | None = None
         self._seed = int(seed)
         self._derive_rngs(self._seed)
         self.reset()
@@ -202,9 +221,29 @@ class GridEnv:
         a[3, 3] = a[4, 4] = a[5, 5] = g
         return LtiStepper(a, self._b, self._c, self.params.dt, self.params.substeps)
 
+    def _scheduled_stepper(self, k: int) -> tuple[LtiStepper, int]:
+        """Stacked propagators of the schedule block holding entry k, and
+        entry k's slice.  A block covers up to SCHEDULE_BLOCK entries from
+        the step that first needed it, built once over its distinct loads;
+        each slice is bit-identical to _stepper_for on that load."""
+        block = self._block
+        if block is None or not 0 <= k - block[0] < len(block[1]):
+            distinct, index = np.unique(
+                self._load_schedule[k:k + SCHEDULE_BLOCK], return_inverse=True)
+            a = np.repeat(self._a_template[None], len(distinct), axis=0)
+            g = -1.0 / (distinct * self.params.capacitance)
+            a[:, 3, 3] = a[:, 4, 4] = a[:, 5, 5] = g
+            stepper = LtiStepper(a, self._b, self._c, self.params.dt, self.params.substeps)
+            self._block = block = (k, index, stepper)
+        return block[2], int(block[1][k - block[0]])
+
     def set_load_schedule(self, series: np.ndarray | None) -> None:
-        """Replay a frozen per-step load series instead of the live process."""
+        """Replay a frozen per-step load series instead of the live process.
+
+        Propagators are built ahead in blocks, so the series must not be
+        changed in place afterwards; call this again with the new series."""
         self._load_schedule = None if series is None else np.asarray(series, dtype=np.float64)
+        self._block = None
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
@@ -238,12 +277,11 @@ class GridEnv:
 
     def _features(self, v_meas, i_meas, raw_p, raw_i) -> np.ndarray:
         p = self.params
-        v_ref = p.v_ref
-        err = 0.5 * (v_ref - v_meas)
+        err = 0.5 * (self._v_ref - v_meas)
         return np.concatenate([
             i_meas / p.i_lim,
             v_meas / p.v_lim,
-            v_ref / p.v_lim,
+            self._v_ref_feature,
             err / p.v_lim,
             raw_p,
             raw_i,
@@ -260,19 +298,22 @@ class GridEnv:
             raise ConfigurationError(f"action outside [-1, 1]: {u}")
         u = np.clip(u, -1.0, 1.0)
         p = self.params
+        # Dead time: the voltage applied this period is last step's command.
+        v_inverter = self._pending_u * self._half_bus
         if self._load_schedule is not None:
-            if self._step_in_episode >= len(self._load_schedule):
+            k = self._step_in_episode
+            if k >= len(self._load_schedule):
                 raise EnvironmentFault("load schedule exhausted")
-            self.r_load = float(self._load_schedule[self._step_in_episode])
+            self.r_load = float(self._load_schedule[k])
+            stepper, j = self._scheduled_stepper(k)
+            self._x = stepper.propagate(self._x, v_inverter, j)
         else:
             self.r_load = self._load.step(self._rng_load)
-        # Dead time: the voltage applied this period is last step's command.
-        v_inverter = self._pending_u * (p.v_dc / 2.0)
-        self._x = self._stepper_for(self.r_load).propagate(self._x, v_inverter)
+            self._x = self._stepper_for(self.r_load).propagate(self._x, v_inverter)
         if not np.isfinite(self._x).all():
             raise EnvironmentFault("grid plant state became non-finite")
         v_meas, i_meas = self._measure()
-        reward = grid_task_reward(p.v_ref, v_meas, p.v_lim, self.gamma)
+        reward = grid_task_reward(self._v_ref, v_meas, p.v_lim, self.gamma)
         violation = bool(
             np.any(np.abs(self._x[3:6]) > p.v_lim) or np.any(np.abs(self._x[0:3]) > p.i_lim)
         )
@@ -289,7 +330,7 @@ class GridEnv:
             "task_reward": reward,
             "v_meas": v_meas,
             "i_meas": i_meas,
-            "v_ref": p.v_ref,
+            "v_ref": self._v_ref,
             "r_load": self.r_load,
             "limit_violation": violation,
         }
@@ -297,7 +338,7 @@ class GridEnv:
 
     def measurements(self) -> dict:
         v, i = self._last_meas
-        return {"v": v.copy(), "i": i.copy(), "ref": self.params.v_ref}
+        return {"v": v.copy(), "i": i.copy(), "ref": self._v_ref}
 
     @property
     def plant_state(self) -> np.ndarray:

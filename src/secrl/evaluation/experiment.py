@@ -162,7 +162,8 @@ def make_plan(cfg: RunConfig, out_dir: str | Path) -> ExperimentPlan:
     seg_len = cfg["experiment.segment_length"]
     if env_kind == "grid":
         cases = [
-            gen_grid_testcase(case_seed, cfg["experiment.grid_transient_steps"]),
+            gen_grid_testcase(case_seed, cfg["experiment.grid_transient_steps"],
+                              cfg["train.sampling_time"]),
             gen_steadystate_testcase("grid", case_seed + 1, segments, seg_len),
         ]
     else:

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import ConfigurationError
-from ..envs.grid import R_LOAD_MAX, R_LOAD_MIN, LoadProcess
-from ..seeding import STREAM_ENV, STREAM_LOAD, derive_rng
+from ..envs.grid import R_LOAD_MAX, R_LOAD_MIN, seeded_load_series
+from ..seeding import STREAM_ENV, derive_rng
 
 GRID_LOAD_PROFILE = "grid-load-profile"
 MOTOR_REFERENCE_PROFILE = "motor-reference-profile"
@@ -70,16 +70,12 @@ class TestCase:
         )
 
 
-def gen_grid_testcase(seed: int, steps: int = 100_000) -> TestCase:
-    """Load profile from the live stochastic process, frozen thereafter."""
+def gen_grid_testcase(seed: int, steps: int = 100_000, dt: float = 1e-4) -> TestCase:
+    """Load profile from the live stochastic process at control period
+    `dt`, frozen thereafter."""
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
-    rng = derive_rng(seed, STREAM_LOAD)
-    proc = LoadProcess.draw(rng, dt=1e-4)
-    series = np.empty(steps)
-    for k in range(steps):
-        series[k] = proc.step(rng)
-    return TestCase(GRID_LOAD_PROFILE, seed, steps, 0, series)
+    return TestCase(GRID_LOAD_PROFILE, seed, steps, 0, seeded_load_series(seed, steps, dt))
 
 
 def _stratified_1d(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from secrl import ConfigurationError
 from secrl.baselines.grid_cascade import (
+    CascadeGains,
     GridCascadePolicy,
     analytic_cascade_gains,
     tune_grid_cascade,
@@ -153,3 +154,43 @@ class TestGridCascade:
         gains, report = tune_grid_cascade(p, seed=6, factors_outer=(1.0, 2.0), factors_inner=(1.0,), steps=2000)
         base_score, _ = validation_score(p, base, seed=6, steps=2000)
         assert report["best_score"] >= base_score - 1e-12
+
+
+def live_validation_episode(params, gains, seed, steps):
+    """Reference for validation_score: the seeded episode with the load
+    drawn live by the environment, step by step."""
+    env = GridEnv(params, gamma=0.0, seed=seed, terminate_on_violation=False)
+    policy = GridCascadePolicy(params, gains)
+    env.reset(seed=seed)
+    policy.reset()
+    total = 0.0
+    violated = False
+    for _ in range(steps):
+        u = policy.action(env.measurements())
+        _, r, _, info = env.step(u, raw_p=u)
+        total += r
+        violated = violated or info["limit_violation"]
+    return total / steps, violated
+
+
+class TestGridTuningOnFrozenLoads:
+    @pytest.mark.parametrize("dt", [1e-4, 2e-4])
+    def test_validation_score_equals_live_episode(self, dt):
+        p = GridParams(dt=dt)
+        gains = analytic_cascade_gains(p)
+        assert validation_score(p, gains, seed=7, steps=1500) == \
+            live_validation_episode(p, gains, seed=7, steps=1500)
+
+    def test_tuning_trials_and_gains_equal_live_episodes(self):
+        p = GridParams()
+        gains, report = tune_grid_cascade(
+            p, seed=8, factors_outer=(1.0, 3.0), factors_inner=(0.5, 1.0), steps=800)
+        best, best_score = None, -np.inf
+        for trial in report["trials"]:
+            g = CascadeGains(**trial["gains"])
+            score, violated = live_validation_episode(p, g, seed=8, steps=800)
+            assert (trial["score"], trial["violated"]) == (score, violated)
+            if not violated and score > best_score:
+                best, best_score = g, score
+        assert gains == best
+        assert report["best_score"] == best_score

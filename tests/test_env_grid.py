@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from secrl import ConfigurationError, EnvironmentFault
+from secrl.envs.base import LtiStepper
 from secrl.envs.grid import (
+    SCHEDULE_BLOCK,
     GridEnv,
     GridParams,
     LoadProcess,
     grid_task_reward,
 )
+from secrl.evaluation.testcases import gen_grid_testcase, gen_steadystate_testcase
 from secrl.seeding import derive_rng
 
 QUIET = dict(noise_v=0.0, noise_i=0.0)
@@ -336,3 +339,104 @@ class TestDeterminism:
         with pytest.raises(ConfigurationError):
             # Way too few substeps for the LC resonance.
             GridParams(capacitance=1e-9, inductance=1e-7, substeps=1)
+
+
+def oracle_stepper(p: GridParams, r_load: float) -> LtiStepper:
+    a, b = analytic_matrices(p, r_load)
+    return LtiStepper(a, b, np.zeros(6), p.dt, p.substeps)
+
+
+class FreshBuildGridEnv(GridEnv):
+    """Reference plant: a fresh 2-D propagator from the oracle matrices on
+    every step, whether the load comes from a schedule or the live process."""
+
+    def _stepper_for(self, r_load):
+        return oracle_stepper(self.params, r_load)
+
+    def _scheduled_stepper(self, k):
+        return oracle_stepper(self.params, float(self._load_schedule[k])), None
+
+
+def assert_lockstep(env: GridEnv, ref: GridEnv, steps: int, k0: int = 0) -> None:
+    """Step both plants with the same actions; every output byte-equal."""
+    for k in range(k0, k0 + steps):
+        # Closed loop, so a plant that drifts apart also changes the actions.
+        v = env.measurements()["v"]
+        u = np.clip(0.5 * np.sin(np.array([1.0, 2.0, 3.0]) * k / 97.0) - 1e-3 * v, -1.0, 1.0)
+        rp = u * 0.5
+        o1, r1, t1, i1 = env.step(u, raw_p=rp)
+        o2, r2, t2, i2 = ref.step(u, raw_p=rp)
+        assert o1.tobytes() == o2.tobytes(), k
+        assert r1 == r2 and t1 == t2 and i1["r_load"] == i2["r_load"], k
+        assert i1["limit_violation"] == i2["limit_violation"], k
+        assert env.plant_state.tobytes() == ref.plant_state.tobytes(), k
+        assert env.r_load == ref.r_load, k
+
+
+class TestStackedPropagators:
+    def test_stacked_slices_equal_2d_builds(self):
+        p = GridParams()
+        rng = derive_rng(40, 0)
+        drawn = rng.uniform(14.0, 200.0, size=1000)
+        loads = np.concatenate([[14.0, 200.0], drawn, drawn[:50], [14.0, 200.0, 14.0]])
+        a = np.stack([analytic_matrices(p, r)[0] for r in loads])
+        b = analytic_matrices(p, 50.0)[1]
+        stacked = LtiStepper(a, b, np.zeros(6), p.dt, p.substeps)
+        assert stacked.m_per.shape == (len(loads), 6, 6)
+        x = rng.standard_normal(6) * 50.0
+        u = rng.standard_normal(3) * 100.0
+        for j, r in enumerate(loads):
+            single = oracle_stepper(p, r)
+            assert stacked.m_per[j].tobytes() == single.m_per.tobytes(), r
+            assert stacked.n_per[j].tobytes() == single.n_per.tobytes(), r
+            assert stacked.propagate(x, u, j).tobytes() == single.propagate(x, u).tobytes(), r
+
+    @pytest.mark.parametrize("case", ["steady", "profile"])
+    def test_scheduled_rollout_equals_per_step_builds(self, case):
+        if case == "steady":
+            series = gen_steadystate_testcase("grid", seed=41, segments=12, segment_length=250).payload
+        else:
+            series = gen_grid_testcase(seed=42, steps=3000).payload
+        assert len(series) == 3000 > 10 * SCHEDULE_BLOCK
+        env, ref = GridEnv(GridParams(), seed=43), FreshBuildGridEnv(GridParams(), seed=43)
+        for e in (env, ref):
+            e.set_load_schedule(series)
+        o1, o2 = env.reset(seed=43), ref.reset(seed=43)
+        assert o1.tobytes() == o2.tobytes()
+        assert_lockstep(env, ref, 3000)
+        # A second episode on the same schedule reuses no stale block.
+        env.reset(seed=44)
+        ref.reset(seed=44)
+        assert_lockstep(env, ref, 600)
+
+    def test_restore_and_schedule_swaps_continue_bit_exact(self):
+        p = GridParams()
+        first = gen_grid_testcase(seed=45, steps=2000).payload
+        second = gen_steadystate_testcase("grid", seed=46, segments=4, segment_length=500).payload
+        src, ref = GridEnv(p, seed=47), FreshBuildGridEnv(p, seed=47)
+        for e in (src, ref):
+            e.set_load_schedule(first)
+            e.reset(seed=47)
+        assert_lockstep(src, ref, 300)
+        state = src.state_dict()
+        assert state["step_in_episode"] % SCHEDULE_BLOCK != 0
+
+        # Restored into a fresh env at step 300, mid-block for the source.
+        env = GridEnv(p, seed=48)
+        env.set_load_schedule(first)
+        env.reset(seed=48)
+        env.step(np.zeros(3))  # leaves a block keyed at step 0 behind
+        env.load_state_dict(state)
+        assert env.r_load == ref.r_load
+        assert_lockstep(env, ref, 400, k0=300)
+
+        # A new schedule mid-episode: steps 700.. read the second series.
+        for e in (env, ref):
+            e.set_load_schedule(second)
+        assert_lockstep(env, ref, 600, k0=700)
+        assert env.r_load == second[1299]
+
+        # Back to the live load process mid-episode.
+        for e in (env, ref):
+            e.set_load_schedule(None)
+        assert_lockstep(env, ref, 300, k0=1300)

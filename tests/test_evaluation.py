@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from secrl import ConfigurationError
+from secrl.envs.grid import GridEnv, GridParams
 from secrl.evaluation.metrics import (
     Trajectory,
     box_stats,
@@ -41,6 +42,15 @@ class TestCases:
         assert np.array_equal(a.payload, b.payload)
         c = gen_grid_testcase(seed=10, steps=5000)
         assert not np.array_equal(a.payload, c.payload)
+
+    def test_grid_case_replays_live_loads_at_its_dt(self):
+        p = GridParams(dt=2e-4)
+        case = gen_grid_testcase(seed=12, steps=400, dt=p.dt)
+        env = GridEnv(p, seed=12)
+        env.reset(seed=12)
+        live = [env.step(np.zeros(3))[3]["r_load"] for _ in range(400)]
+        assert case.payload.tolist() == live
+        assert not np.array_equal(gen_grid_testcase(seed=12, steps=400).payload, case.payload)
 
     def test_steadystate_grid_case_structure(self):
         case = gen_steadystate_testcase("grid", seed=11)
