@@ -12,11 +12,9 @@ shape.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import ConfigurationError
@@ -44,6 +42,66 @@ class _Key:
     hi: float | None = None
     choices: tuple | None = None
     scaled_by_horizon: bool = False  # breakpoint rescaled by steps/schedule_horizon
+
+
+def _coerce(key: str, value, kind: str):
+    try:
+        if kind == _INT:
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError(value)
+            return int(value)
+        if kind == _FLOAT:
+            if isinstance(value, bool):
+                raise ValueError(value)
+            return float(value)
+        if kind == _BOOL:
+            if isinstance(value, bool):
+                return value
+            if isinstance(value, str):
+                if value.lower() in ("true", "1", "yes"):
+                    return True
+                if value.lower() in ("false", "0", "no"):
+                    return False
+            raise ValueError(value)
+        if kind == _STR:
+            return str(value)
+        if kind == _INT_LIST:
+            if isinstance(value, str):
+                value = [v for v in value.split(",") if v.strip()]
+            elif not isinstance(value, (list, tuple)):
+                value = [value]
+            return [int(v) for v in value]
+        if kind == _STR_LIST:
+            if isinstance(value, str):
+                value = [v.strip() for v in value.split(",") if v.strip()]
+            elif not isinstance(value, (list, tuple)):
+                value = [value]
+            return [str(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"config key {key!r}: cannot parse {value!r}") from exc
+    raise ConfigurationError(f"config key {key!r}: unknown type {kind}")  # pragma: no cover
+
+
+# Plant constants: one `env.<plant>.<field>` key per parameter field, in
+# field order, with the dataclass default.  The control period and the
+# history length come from `train.sampling_time` and `env.past_measurements`.
+_PLANTS = {"grid": GridParams, "motor": MotorParams}
+_PLANT_HI = {"env.motor.reference_hold_prob": 0.999999, "env.motor.reference_radius": 1.0}
+
+
+def _plant_fields(plant: str) -> list:
+    return [f for f in fields(_PLANTS[plant]) if f.name not in ("dt", "history_length")]
+
+
+def _plant_keys(plant: str) -> dict[str, _Key]:
+    keys = {}
+    for f in _plant_fields(plant):
+        key = f"env.{plant}.{f.name}"
+        kind = _INT if isinstance(f.default, int) else _FLOAT
+        # Coerced: yaml.safe_dump rejects numpy scalars such as GridParams.v_nom.
+        keys[key] = _Key(_coerce(key, f.default, kind), kind,
+                         lo=1 if kind == _INT else 0.0, hi=_PLANT_HI.get(key))
+    return keys
 
 
 SCHEMA: dict[str, _Key] = {
@@ -95,27 +153,8 @@ SCHEMA: dict[str, _Key] = {
     # the stream of penalties), and agents demonstrably learn to crash; the
     # violation-terminal machinery stays available behind this switch.
     "env.terminate_on_violation": _Key(False, _BOOL),
-    "env.grid.inductance": _Key(2.3e-3, _FLOAT, lo=0.0),
-    "env.grid.resistance": _Key(0.4, _FLOAT, lo=0.0),
-    "env.grid.capacitance": _Key(1e-5, _FLOAT, lo=0.0),
-    "env.grid.frequency": _Key(60.0, _FLOAT, lo=0.0),
-    "env.grid.v_dc": _Key(600.0, _FLOAT, lo=0.0),
-    "env.grid.v_nom": _Key(120.0 * math.sqrt(2.0), _FLOAT, lo=0.0),
-    "env.grid.v_lim": _Key(1.5 * 120.0 * math.sqrt(2.0), _FLOAT, lo=0.0),
-    "env.grid.i_lim": _Key(30.0, _FLOAT, lo=0.0),
-    "env.grid.substeps": _Key(10, _INT, lo=1),
-    "env.grid.noise_v": _Key(0.25, _FLOAT, lo=0.0),
-    "env.grid.noise_i": _Key(0.05, _FLOAT, lo=0.0),
-    "env.motor.r_s": _Key(0.25, _FLOAT, lo=0.0),
-    "env.motor.l_d": _Key(1.2e-3, _FLOAT, lo=0.0),
-    "env.motor.l_q": _Key(1.2e-3, _FLOAT, lo=0.0),
-    "env.motor.psi_pm": _Key(5e-2, _FLOAT, lo=0.0),
-    "env.motor.omega_el": _Key(2.0 * math.pi * 100.0, _FLOAT, lo=0.0),
-    "env.motor.v_dc": _Key(350.0, _FLOAT, lo=0.0),
-    "env.motor.i_lim": _Key(20.0, _FLOAT, lo=0.0),
-    "env.motor.substeps": _Key(10, _INT, lo=1),
-    "env.motor.reference_hold_prob": _Key(0.99, _FLOAT, lo=0.0, hi=0.999999),
-    "env.motor.reference_radius": _Key(0.9, _FLOAT, lo=0.0, hi=1.0),
+    **_plant_keys("grid"),
+    **_plant_keys("motor"),
     # experiment harness
     "experiment.variants": _Key(["ddpg", "sec-ddpg", "pi"], _STR_LIST),
     "experiment.seeds": _Key([1, 2, 3, 4, 5], _INT_LIST),
@@ -129,46 +168,6 @@ SCHEMA: dict[str, _Key] = {
     "experiment.pi_tune_steps": _Key(10_000, _INT, lo=100),
     "experiment.pi_tune_seed": _Key(11, _INT),
 }
-
-
-def _coerce(key: str, value):
-    spec = SCHEMA[key]
-    try:
-        if spec.type == _INT:
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise ValueError(value)
-            return int(value)
-        if spec.type == _FLOAT:
-            if isinstance(value, bool):
-                raise ValueError(value)
-            return float(value)
-        if spec.type == _BOOL:
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str):
-                if value.lower() in ("true", "1", "yes"):
-                    return True
-                if value.lower() in ("false", "0", "no"):
-                    return False
-            raise ValueError(value)
-        if spec.type == _STR:
-            return str(value)
-        if spec.type == _INT_LIST:
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v.strip()]
-            elif not isinstance(value, (list, tuple)):
-                value = [value]
-            return [int(v) for v in value]
-        if spec.type == _STR_LIST:
-            if isinstance(value, str):
-                value = [v.strip() for v in value.split(",") if v.strip()]
-            elif not isinstance(value, (list, tuple)):
-                value = [value]
-            return [str(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config key {key!r}: cannot parse {value!r}") from exc
-    raise ConfigurationError(f"config key {key!r}: unknown type {spec.type}")  # pragma: no cover
-
 
 class RunConfig:
     """Validated flat configuration with derived desk-scale schedule values."""
@@ -201,40 +200,19 @@ class RunConfig:
 
     # -- builders ---------------------------------------------------------
 
-    def grid_params(self) -> GridParams:
+    def _plant_params(self, plant: str):
         v = self.values
-        return GridParams(
-            inductance=v["env.grid.inductance"],
-            resistance=v["env.grid.resistance"],
-            capacitance=v["env.grid.capacitance"],
-            frequency=v["env.grid.frequency"],
-            v_dc=v["env.grid.v_dc"],
-            v_nom=v["env.grid.v_nom"],
-            v_lim=v["env.grid.v_lim"],
-            i_lim=v["env.grid.i_lim"],
+        return _PLANTS[plant](
+            **{f.name: v[f"env.{plant}.{f.name}"] for f in _plant_fields(plant)},
             dt=v["train.sampling_time"],
-            substeps=v["env.grid.substeps"],
-            noise_v=v["env.grid.noise_v"],
-            noise_i=v["env.grid.noise_i"],
             history_length=v["env.past_measurements"],
         )
 
+    def grid_params(self) -> GridParams:
+        return self._plant_params("grid")
+
     def motor_params(self) -> MotorParams:
-        v = self.values
-        return MotorParams(
-            r_s=v["env.motor.r_s"],
-            l_d=v["env.motor.l_d"],
-            l_q=v["env.motor.l_q"],
-            psi_pm=v["env.motor.psi_pm"],
-            omega_el=v["env.motor.omega_el"],
-            v_dc=v["env.motor.v_dc"],
-            i_lim=v["env.motor.i_lim"],
-            dt=v["train.sampling_time"],
-            substeps=v["env.motor.substeps"],
-            history_length=v["env.past_measurements"],
-            reference_radius=v["env.motor.reference_radius"],
-            reference_hold_prob=v["env.motor.reference_hold_prob"],
-        )
+        return self._plant_params("motor")
 
     def agent_config(self, obs_dim: int, action_dim: int) -> AgentConfig:
         v = self.values
@@ -344,11 +322,11 @@ def parse_config(
         for key, val in raw.items():
             if key not in SCHEMA:
                 raise ConfigurationError(f"unknown config key {key!r} in {path}")
-            values[key] = _coerce(key, val)
+            values[key] = _coerce(key, val, SCHEMA[key].type)
     for key, val in (overrides or {}).items():
         if key not in SCHEMA:
             raise ConfigurationError(f"unknown config key {key!r} in overrides")
-        values[key] = _coerce(key, val)
+        values[key] = _coerce(key, val, SCHEMA[key].type)
     _validate_ranges(values)
     return RunConfig(values)
 

@@ -80,7 +80,10 @@ class HistoryRing:
         self._buf[-1] = value
 
     def flat(self) -> np.ndarray:
-        """Oldest-first concatenation; empty array when length is 0."""
+        """Oldest-first concatenation; empty array when length is 0.
+
+        A view of the ring, changed by the next push: callers must not
+        write into it, and must copy it to keep it."""
         if self.length == 0:
             return np.zeros(0)
-        return self._buf.ravel().copy()
+        return self._buf.ravel()

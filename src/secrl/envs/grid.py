@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import ConfigurationError, EnvironmentFault
-from ..seeding import STREAM_ENV, STREAM_LOAD, STREAM_NOISE, derive_rng
+from ..seeding import STREAM_LOAD, STREAM_NOISE, derive_rng
 from .base import HistoryRing, LtiStepper
 
 R_LOAD_MIN = 14.0
@@ -197,7 +197,6 @@ class GridEnv:
         self.reset()
 
     def _derive_rngs(self, seed: int) -> None:
-        self._rng_env = derive_rng(seed, STREAM_ENV)
         self._rng_load = derive_rng(seed, STREAM_LOAD)
         self._rng_noise = derive_rng(seed, STREAM_NOISE)
 
@@ -357,7 +356,6 @@ class GridEnv:
             "step_in_episode": self._step_in_episode,
             "terminal": self._terminal,
             "load": self._load.state_dict(),
-            "rng_env": self._rng_env.bit_generator.state,
             "rng_load": self._rng_load.bit_generator.state,
             "rng_noise": self._rng_noise.bit_generator.state,
             "last_v": self._last_meas[0].copy(),
@@ -365,13 +363,13 @@ class GridEnv:
         }
 
     def load_state_dict(self, s: dict) -> None:
+        # Snapshots of earlier versions also hold an unused "rng_env"; it is ignored.
         self._x = np.asarray(s["x"], dtype=np.float64).copy()
         self._pending_u = np.asarray(s["pending_u"], dtype=np.float64).copy()
         self._hist._buf = np.asarray(s["hist"], dtype=np.float64).copy()
         self._step_in_episode = int(s["step_in_episode"])
         self._terminal = bool(s["terminal"])
         self._load.load_state_dict(s["load"])
-        self._rng_env.bit_generator.state = s["rng_env"]
         self._rng_load.bit_generator.state = s["rng_load"]
         self._rng_noise.bit_generator.state = s["rng_noise"]
         self._last_meas = (

@@ -31,8 +31,8 @@ class MotorParams:
     dt: float = 1e-4              # s
     substeps: int = 10
     history_length: int = 5
-    reference_radius: float = 0.9  # feasibility factor on i_lim
     reference_hold_prob: float = 0.99  # per-step prob. of keeping the reference
+    reference_radius: float = 0.9  # feasibility factor on i_lim
 
     def __post_init__(self):
         for name in ("r_s", "l_d", "l_q", "psi_pm", "v_dc", "i_lim", "dt"):

@@ -1,8 +1,9 @@
 """Training/evaluation orchestration with seeded, frozen test cases.
 
 Evaluation always uses the deterministic policy (no exploration noise),
-keeps the integrator in the action path for augmented agents, disables
-limit termination so windows stay complete, and reports task metrics only.
+steps the plant through the same SecActionWrapper as training (so augmented
+agents keep the integrator in the action path), disables limit termination
+so windows stay complete, and reports task metrics only.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import csv
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from ..ddpg.train import Trainer
 from ..envs.grid import GridEnv
 from ..envs.motor import MotorEnv
 from ..nn.mlp import MlpParams, mlp_forward
-from ..sec import PassthroughWrapper, SecActionWrapper, SecState, actor_output_width
+from ..sec import SecActionWrapper, actor_output_width
 from .metrics import Trajectory, box_stats, mean_task_reward, steady_state_metric
 from .testcases import (
     GRID_LOAD_PROFILE,
@@ -45,35 +46,32 @@ RL_VARIANTS = ("ddpg", "sec-ddpg")
 
 
 class AgentPolicy:
-    """Deterministic rollout policy for a trained actor, with the
-    integrator in the action path when the actor is augmented."""
+    """Deterministic rollout policy for a trained actor.  An augmented
+    actor (2m outputs) carries the integrator settings (t_i, t_aw) that
+    rollout builds its action wrapper with."""
 
     def __init__(self, actor: MlpParams, m: int, t_i: float = 0.31, t_aw: float = 0.66):
         self.actor = actor
         self.m = m
-        self.augmented = actor.layer_sizes[-1] == 2 * m
-        if not self.augmented and actor.layer_sizes[-1] != m:
+        augmented = actor.layer_sizes[-1] == 2 * m
+        if not augmented and actor.layer_sizes[-1] != m:
             raise ConfigurationError(
                 f"actor output width {actor.layer_sizes[-1]} matches neither {m} nor {2*m}"
             )
-        self._sec = SecState.fresh(m, t_i, t_aw) if self.augmented else None
+        self.sec_params = (t_i, t_aw) if augmented else None
 
     def reset(self) -> None:
-        if self._sec is not None:
-            self._sec.reset()
+        """Stateless: the integrator lives in the action wrapper."""
 
-    def act(self, obs, measurements) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def act(self, obs, measurements) -> np.ndarray:
         raw, _ = mlp_forward(self.actor, obs)
-        if self._sec is None:
-            return np.clip(raw, -1.0, 1.0), raw, None
-        from ..sec import sec_apply
-
-        u, self._sec = sec_apply(np.clip(raw, -1.0, 1.0), self._sec)
-        return u, raw, self._sec.zeta.copy()
+        return np.clip(raw, -1.0, 1.0)
 
 
 class ControllerPolicy:
     """Adapter putting classical controllers behind the same interface."""
+
+    sec_params = None
 
     def __init__(self, controller):
         self.controller = controller
@@ -82,8 +80,7 @@ class ControllerPolicy:
         self.controller.reset()
 
     def act(self, obs, measurements):
-        u = self.controller.action(measurements)
-        return u, u, None
+        return self.controller.action(measurements)
 
 
 def _apply_case(env, case: TestCase) -> None:
@@ -94,37 +91,36 @@ def _apply_case(env, case: TestCase) -> None:
 
 
 def rollout(env, policy, case: TestCase, seed: int) -> Trajectory:
-    """One deterministic evaluation episode over a frozen test case."""
+    """One deterministic evaluation episode over a frozen test case, with
+    the plant stepped through SecActionWrapper as in training."""
     _apply_case(env, case)
-    obs = env.reset(seed=seed)
+    t_i, t_aw = policy.sec_params or (None, None)
+    wrapped = SecActionWrapper(env, t_i, t_aw)
+    obs = wrapped.reset(seed=seed)
     policy.reset()
     n = case.duration
     kind = "grid" if case.kind.startswith("grid") else "motor"
     d = 3 if kind == "grid" else 2
-    m = env.action_dim
     limit = env.params.v_lim if kind == "grid" else env.params.i_lim
     reference = np.empty((n, d))
     measured = np.empty((n, d))
-    applied = np.empty((n, m))
-    raws = []
-    integ = []
+    raws = np.empty((n, wrapped.action_dim))
+    applied = np.empty((n, env.action_dim))
+    integ = np.empty((n, env.action_dim)) if wrapped.state is not None else None
     violations = np.zeros(n)
     for k in range(n):
-        u, raw, zeta = policy.act(obs, env.measurements())
-        raw_arr = np.asarray(raw, dtype=np.float64)
-        raw_p = raw_arr[:m]
-        raw_i = raw_arr[m:] if len(raw_arr) == 2 * m else None
-        obs, _, terminal, info = env.step(u, raw_p=raw_p, raw_i=raw_i)
+        u_raw = policy.act(obs, env.measurements())
+        obs, _, terminal, info = wrapped.step(u_raw)
+        raws[k] = u_raw
         if kind == "grid":
             reference[k] = info["v_ref"]
             measured[k] = info["v_meas"]
         else:
             reference[k] = info["i_ref"]
             measured[k] = info["i_meas"]
-        applied[k] = u
-        raws.append(raw_arr)
-        if zeta is not None:
-            integ.append(zeta)
+        applied[k] = info["applied_action"]
+        if integ is not None:
+            integ[k] = info["integrator_state"]
         violations[k] = float(info["limit_violation"])
         if terminal:
             raise ConfigurationError(
@@ -135,9 +131,9 @@ def rollout(env, policy, case: TestCase, seed: int) -> Trajectory:
         limit=limit,
         reference=reference,
         measured=measured,
-        raw_action=np.vstack(raws),
+        raw_action=raws,
         applied_action=applied,
-        integrator=np.vstack(integ) if integ else None,
+        integrator=integ,
         violations=violations,
     )
 
@@ -194,7 +190,7 @@ def build_training_env(cfg: RunConfig, variant: str, seed: int):
         env = MotorEnv(cfg.motor_params(), gamma=gamma, seed=seed, terminate_on_violation=terminate)
     if variant == "sec-ddpg":
         return SecActionWrapper(env, cfg["sec.t_i"], cfg["sec.t_aw"], cfg.sec_reward_config())
-    return PassthroughWrapper(env)
+    return SecActionWrapper(env)
 
 
 def build_eval_env(cfg: RunConfig, env_kind: str | None = None):
@@ -293,7 +289,7 @@ def _run_one(cfg_json: str, variant: str, seed: int, plan_dir: str,
         if variant in RL_VARIANTS:
             result, wall = train_variant(cfg, variant, seed, out_dir=run_dir)
             policy = AgentPolicy(
-                result.agent.actor, m=(2 if cfg["env.kind"] == "motor" else 3),
+                result.agent.actor, m=build_eval_env(cfg).action_dim,
                 t_i=cfg["sec.t_i"], t_aw=cfg["sec.t_aw"],
             )
             record["train_seconds"] = wall
@@ -339,28 +335,32 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> dict:
          "segment_length": c.segment_length, "payload": c.payload.tolist()}
         for c in plan.cases
     ]
+    cfg_json = cfg.to_json()
     # Seed-major order: interrupting a long batch still leaves balanced
     # variant coverage for every completed seed.
-    jobs = [(variant, seed) for seed in plan.seeds for variant in plan.variants]
-    cfg_json = cfg.to_json()
+    jobs = [(cfg_json, variant, seed, str(plan.out_dir), cases_payload, pi_gains,
+             plan.save_trajectories)
+            for seed in plan.seeds for variant in plan.variants]
     records = []
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [
-                pool.submit(_run_one, cfg_json, variant, seed, str(plan.out_dir),
-                            cases_payload, pi_gains, plan.save_trajectories)
-                for variant, seed in jobs
-            ]
-            records = [f.result() for f in futures]
-    else:
-        for variant, seed in jobs:
-            log.info("running %s seed %d", variant, seed)
-            records.append(_run_one(cfg_json, variant, seed, str(plan.out_dir),
-                                    cases_payload, pi_gains, plan.save_trajectories))
-            _write_reports(plan, records)  # refresh after every run
+    for record in _finished_runs(jobs, plan.workers):
+        records.append(record)
+        _write_reports(plan, records)  # refresh after every run
     records.sort(key=lambda r: (r["variant"], r["seed"]))
     summary = _write_reports(plan, records)
     return summary
+
+
+def _finished_runs(jobs: list[tuple], workers: int):
+    """Yield each job's `_run_one` record as it finishes: in job order
+    when serial, in completion order across `workers` processes."""
+    if workers == 1:
+        for job in jobs:
+            log.info("running %s seed %d", job[1], job[2])
+            yield _run_one(*job)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for future in as_completed([pool.submit(_run_one, *job) for job in jobs]):
+            yield future.result()
 
 
 def _write_reports(plan: ExperimentPlan, records: list[dict]) -> dict:

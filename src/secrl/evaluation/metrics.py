@@ -27,7 +27,6 @@ class Trajectory:
     raw_action: np.ndarray    # (N, m or 2m)
     applied_action: np.ndarray  # (N, m)
     integrator: np.ndarray | None = None  # (N, m) when augmented
-    terminal: np.ndarray = field(default_factory=lambda: np.zeros(0))
     violations: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
@@ -57,7 +56,6 @@ class Trajectory:
             writer.writerow(header)
             rewards = per_step_rewards(self)
             zeta = self.integrator if self.integrator is not None else np.zeros((len(self), m))
-            term = self.terminal if len(self.terminal) else np.zeros(len(self))
             for k in range(len(self)):
                 writer.writerow(
                     [k]
@@ -66,7 +64,7 @@ class Trajectory:
                     + list(self.raw_action[k])
                     + list(self.applied_action[k])
                     + list(zeta[k])
-                    + [rewards[k], int(term[k])]
+                    + [rewards[k], 0]  # rollout raises on a terminal step
                 )
 
 

@@ -123,32 +123,44 @@ def combine_reward(r_task: float, r_p: float, r_i: float, kappa_p_k: float, kapp
 
 
 class SecActionWrapper:
-    """Environment adapter that turns an m-channel plant into a 2m-channel
-    learning problem with the integrator in the action path and the penalty
-    terms folded into the reward.
+    """Environment adapter that puts the integrator in the action path: the
+    one action path for plain and augmented agents, in training and in
+    evaluation.
+
+    With t_i and t_aw the actor's 2m outputs [u_P ; u_I] drive an m-channel
+    plant through sec_apply, and the penalty terms of reward_cfg, when
+    given, are folded into the reward.  Without them (plain agents and
+    classical controllers) the m-channel action is applied as is and the
+    task reward is passed through.
 
     The wrapped env's step() must accept (u, raw_p, raw_i); the raw blocks
     feed the past-action features of the next observation.  A global step
     counter (never reset between episodes) drives the kappa schedules.
     """
 
-    def __init__(self, env, t_i: float, t_aw: float, reward_cfg: SecRewardConfig | None):
+    def __init__(self, env, t_i: float | None = None, t_aw: float | None = None,
+                 reward_cfg: SecRewardConfig | None = None):
         self.env = env
         self.m = env.action_dim
-        self.action_dim = 2 * self.m
         self.obs_dim = env.obs_dim
-        self.state = SecState.fresh(self.m, t_i, t_aw)
+        self.state = None if t_i is None and t_aw is None else SecState.fresh(self.m, t_i, t_aw)
+        self.action_dim = self.m if self.state is None else 2 * self.m
         self.reward_cfg = reward_cfg
         self.global_step = 0
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         # Fresh episodes must not inherit integrator wind-up.
-        self.state.reset()
+        if self.state is not None:
+            self.state.reset()
         return self.env.reset(seed=seed)
 
     def step(self, u_raw: np.ndarray):
-        u, self.state = sec_apply(u_raw, self.state)
-        obs, r_task, terminal, info = self.env.step(u, raw_p=u_raw[: self.m], raw_i=u_raw[self.m:])
+        if self.state is None:
+            u = np.asarray(u_raw, dtype=np.float64)
+            obs, r_task, terminal, info = self.env.step(u, raw_p=u_raw, raw_i=None)
+        else:
+            u, self.state = sec_apply(u_raw, self.state)
+            obs, r_task, terminal, info = self.env.step(u, raw_p=u_raw[: self.m], raw_i=u_raw[self.m:])
         k = self.global_step
         if self.reward_cfg is not None:
             cfg = self.reward_cfg
@@ -163,43 +175,16 @@ class SecActionWrapper:
         info = dict(info)
         info["task_reward"] = r_task
         info["applied_action"] = u
-        info["integrator_state"] = self.state.zeta.copy()
+        if self.state is not None:
+            info["integrator_state"] = self.state.zeta.copy()
         return obs, reward, terminal, info
 
     def state_dict(self) -> dict:
+        if self.state is None:
+            return {"global_step": self.global_step}
         return {"zeta": self.state.zeta.copy(), "global_step": self.global_step}
 
     def load_state_dict(self, state: dict) -> None:
-        self.state.zeta = np.asarray(state["zeta"], dtype=np.float64).copy()
-        self.global_step = int(state["global_step"])
-
-
-class PassthroughWrapper:
-    """Plain-agent counterpart of SecActionWrapper: identical interface,
-    identity action path, task reward untouched."""
-
-    def __init__(self, env):
-        self.env = env
-        self.m = env.action_dim
-        self.action_dim = self.m
-        self.obs_dim = env.obs_dim
-        self.global_step = 0
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        return self.env.reset(seed=seed)
-
-    def step(self, u_raw: np.ndarray):
-        obs, r_task, terminal, info = self.env.step(
-            np.asarray(u_raw, dtype=np.float64), raw_p=u_raw, raw_i=None
-        )
-        self.global_step += 1
-        info = dict(info)
-        info["task_reward"] = r_task
-        info["applied_action"] = np.asarray(u_raw, dtype=np.float64)
-        return obs, r_task, terminal, info
-
-    def state_dict(self) -> dict:
-        return {"global_step": self.global_step}
-
-    def load_state_dict(self, state: dict) -> None:
+        if self.state is not None:
+            self.state.zeta = np.asarray(state["zeta"], dtype=np.float64).copy()
         self.global_step = int(state["global_step"])

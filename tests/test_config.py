@@ -1,10 +1,12 @@
 """Configuration schema: defaults, validation, precedence, rescaling, echo."""
 
+import math
+
 import yaml
 import pytest
 
 from secrl import ConfigurationError
-from secrl.config import FULL_SCALE_STEPS, parse_config, parse_override_strings
+from secrl.config import FULL_SCALE_STEPS, SCHEMA, parse_config, parse_override_strings
 
 
 class TestDefaults:
@@ -137,3 +139,57 @@ class TestEchoAndBuilders:
         ts = cfg.train_settings()
         assert ts.total_steps == 1000
         assert ts.episode_steps == 2811
+
+
+# key: (default, type, lo, hi), as the parameter dataclasses state them.
+PLANT_KEYS = {
+    "env.grid.inductance": (2.3e-3, "float", 0.0, None),
+    "env.grid.resistance": (0.4, "float", 0.0, None),
+    "env.grid.capacitance": (1e-5, "float", 0.0, None),
+    "env.grid.frequency": (60.0, "float", 0.0, None),
+    "env.grid.v_dc": (600.0, "float", 0.0, None),
+    "env.grid.v_nom": (120.0 * math.sqrt(2.0), "float", 0.0, None),
+    "env.grid.v_lim": (1.5 * 120.0 * math.sqrt(2.0), "float", 0.0, None),
+    "env.grid.i_lim": (30.0, "float", 0.0, None),
+    "env.grid.substeps": (10, "int", 1, None),
+    "env.grid.noise_v": (0.25, "float", 0.0, None),
+    "env.grid.noise_i": (0.05, "float", 0.0, None),
+    "env.motor.r_s": (0.25, "float", 0.0, None),
+    "env.motor.l_d": (1.2e-3, "float", 0.0, None),
+    "env.motor.l_q": (1.2e-3, "float", 0.0, None),
+    "env.motor.psi_pm": (5e-2, "float", 0.0, None),
+    "env.motor.omega_el": (2.0 * math.pi * 100.0, "float", 0.0, None),
+    "env.motor.v_dc": (350.0, "float", 0.0, None),
+    "env.motor.i_lim": (20.0, "float", 0.0, None),
+    "env.motor.substeps": (10, "int", 1, None),
+    "env.motor.reference_hold_prob": (0.99, "float", 0.0, 0.999999),
+    "env.motor.reference_radius": (0.9, "float", 0.0, 1.0),
+}
+
+
+class TestPlantKeys:
+    def test_every_plant_key_default_type_and_range(self):
+        keys = [k for k in SCHEMA if k.startswith(("env.grid.", "env.motor."))]
+        assert keys == list(PLANT_KEYS)
+        for key, (default, kind, lo, hi) in PLANT_KEYS.items():
+            spec = SCHEMA[key]
+            assert (spec.default, spec.type, spec.lo, spec.hi) == (default, kind, lo, hi), key
+            assert type(spec.default) is type(default), key
+            assert spec.choices is None and not spec.scaled_by_horizon
+
+    def test_echo_writes_plant_defaults_as_plain_numbers(self, tmp_path):
+        parse_config().echo(tmp_path / "effective.yaml")
+        data = yaml.safe_load((tmp_path / "effective.yaml").read_text())
+        for key, (default, _, _, _) in PLANT_KEYS.items():
+            assert data[key] == default and type(data[key]) is type(default)
+
+    def test_builders_take_every_plant_key(self):
+        over = {"env.grid.noise_v": 0.5, "env.grid.substeps": 12,
+                "env.motor.reference_radius": 0.5, "env.motor.psi_pm": 0.07,
+                "train.sampling_time": 2e-4, "env.past_measurements": 3}
+        cfg = parse_config(None, over)
+        gp, mp = cfg.grid_params(), cfg.motor_params()
+        assert (gp.noise_v, gp.substeps, gp.dt, gp.history_length) == (0.5, 12, 2e-4, 3)
+        assert (mp.reference_radius, mp.psi_pm, mp.dt, mp.history_length) == (0.5, 0.07, 2e-4, 3)
+        assert gp.v_nom == PLANT_KEYS["env.grid.v_nom"][0]
+        assert mp.reference_hold_prob == 0.99

@@ -14,7 +14,7 @@ from secrl.envs.grid import (
     grid_task_reward,
 )
 from secrl.evaluation.testcases import gen_grid_testcase, gen_steadystate_testcase
-from secrl.seeding import derive_rng
+from secrl.seeding import STREAM_ENV, derive_rng
 
 QUIET = dict(noise_v=0.0, noise_i=0.0)
 
@@ -330,6 +330,25 @@ class TestDeterminism:
         o2, r2, t2, i2 = fresh.step(u)
         assert np.array_equal(o1, o2) and r1 == r2 and t1 == t2
         assert fresh.r_load == env.r_load
+
+    def test_older_snapshot_with_env_stream_continues_byte_equal(self):
+        # Earlier versions also stored an "rng_env" stream that no step drew from.
+        env = GridEnv(GridParams(), seed=31)
+        u = np.array([0.2, -0.1, 0.05])
+        for _ in range(40):
+            env.step(u)
+        state = env.state_dict()
+        assert "rng_env" not in state
+        state["rng_env"] = derive_rng(31, STREAM_ENV).bit_generator.state
+
+        fresh = GridEnv(GridParams(), seed=5)
+        fresh.load_state_dict(state)
+        for _ in range(300):
+            o1, r1, t1, i1 = env.step(u)
+            o2, r2, t2, i2 = fresh.step(u)
+            assert o1.tobytes() == o2.tobytes() and r1 == r2 and t1 == t2
+            assert i1["r_load"] == i2["r_load"]
+            assert env.plant_state.tobytes() == fresh.plant_state.tobytes()
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from secrl.config import parse_config
+from secrl.evaluation import experiment
 from secrl.evaluation.experiment import (
     AgentPolicy,
     ControllerPolicy,
@@ -15,7 +16,8 @@ from secrl.evaluation.experiment import (
     run_experiment,
 )
 from secrl.evaluation.testcases import gen_steadystate_testcase
-from secrl.nn.mlp import mlp_init
+from secrl.nn.mlp import mlp_forward, mlp_init
+from secrl.sec import SecActionWrapper
 from secrl.seeding import derive_rng
 
 FAST = {
@@ -64,6 +66,39 @@ class TestRollout:
         traj = rollout(build_eval_env(cfg), policy, case, seed=1)
         assert traj.integrator is None
         assert traj.raw_action.shape == (1500, 2)
+
+    @pytest.mark.parametrize("plant", ["grid", "motor"])
+    def test_rollout_equals_stepping_the_training_wrapper(self, plant):
+        cfg = parse_config(None, {**FAST, "env.kind": plant})
+        case = gen_steadystate_testcase(plant, seed=5, segments=2, segment_length=500)
+        env = build_eval_env(cfg)
+        m = env.action_dim
+        # Large output biases saturate the actor, so the integrator winds up
+        # into the clip and the anti-windup term engages.
+        actor = mlp_init([env.obs_dim, 10, 2 * m], 0.208, "tanh", 1.0, 3.0, derive_rng(7, 0))
+        traj = rollout(env, AgentPolicy(actor, m, t_i=0.31, t_aw=0.66), case, seed=11)
+
+        env = build_eval_env(cfg)
+        if plant == "grid":
+            env.set_load_schedule(case.payload)
+        else:
+            env.set_reference_schedule(case.payload)
+        wrapped = SecActionWrapper(env, 0.31, 0.66)
+        obs = wrapped.reset(seed=11)
+        rows = {"raw": [], "applied": [], "zeta": [], "meas": []}
+        for _ in range(case.duration):
+            raw = np.clip(mlp_forward(actor, obs)[0], -1.0, 1.0)
+            obs, _, _, info = wrapped.step(raw)
+            rows["raw"].append(raw)
+            rows["applied"].append(info["applied_action"])
+            rows["zeta"].append(info["integrator_state"])
+            rows["meas"].append(info["v_meas" if plant == "grid" else "i_meas"])
+        assert traj.raw_action.tobytes() == np.vstack(rows["raw"]).tobytes()
+        assert traj.applied_action.tobytes() == np.vstack(rows["applied"]).tobytes()
+        assert traj.integrator.tobytes() == np.vstack(rows["zeta"]).tobytes()
+        assert traj.measured.tobytes() == np.vstack(rows["meas"]).tobytes()
+        # Anti-windup engaged: some channel sat on the clip bound on most steps.
+        assert np.mean(np.any(np.abs(traj.applied_action) == 1.0, axis=1)) > 0.5
 
     def test_trajectory_csv_export(self, tmp_path):
         cfg = motor_cfg()
@@ -121,6 +156,25 @@ class TestRunExperiment:
         r1 = (tmp_path / "a" / "report.csv").read_text()
         r2 = (tmp_path / "b" / "report.csv").read_text()
         assert r1 == r2
+
+    def test_parallel_compare_refreshes_reports_after_every_run(self, tmp_path, monkeypatch):
+        cfg = motor_cfg(**{
+            "experiment.variants": ["ddpg", "sec-ddpg", "pi"],
+            "experiment.seeds": [1],
+            "experiment.workers": 2,
+        })
+        sizes = []
+        write_reports = experiment._write_reports
+
+        def counting(plan, records):
+            sizes.append(len(records))
+            return write_reports(plan, records)
+
+        monkeypatch.setattr(experiment, "_write_reports", counting)
+        summary = run_experiment(cfg, tmp_path)
+        # One refresh per finished run, then the final sorted write.
+        assert sizes == [1, 2, 3, 3]
+        assert [r["status"] for r in summary["runs"]] == ["ok"] * 3
 
     def test_individual_failure_recorded_not_fatal(self, tmp_path):
         # An out-of-disc reference radius makes the motor env constructor

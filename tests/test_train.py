@@ -10,7 +10,7 @@ from secrl.ddpg.agent import AgentConfig
 from secrl.ddpg.train import Trainer, TrainSettings, train
 from secrl.envs.grid import GridEnv, GridParams
 from secrl.envs.motor import MotorEnv, MotorParams
-from secrl.sec import PassthroughWrapper, SecActionWrapper, SecRewardConfig
+from secrl.sec import SecActionWrapper, SecRewardConfig
 
 
 def tiny_agent_config(obs_dim, action_dim, **kw):
@@ -34,7 +34,7 @@ def make_sec_grid_trainer(seed=5, steps=300, episode_steps=120, **agent_kw) -> T
 
 def test_zero_steps_returns_initialized_agent_and_empty_curve():
     env = MotorEnv(MotorParams(), seed=1)
-    wrapped = PassthroughWrapper(env)
+    wrapped = SecActionWrapper(env)
     acfg = tiny_agent_config(wrapped.obs_dim, wrapped.action_dim)
     result = train(wrapped, acfg, TrainSettings(total_steps=0), seed=1)
     assert result.curve == []
@@ -62,7 +62,7 @@ def test_limit_violation_stores_terminal_one():
     # Swamp the raw actor output with a huge constant noise mean so the
     # applied action saturates and the motor current limit trips.
     env = MotorEnv(MotorParams(), seed=9, terminate_on_violation=True)
-    wrapped = PassthroughWrapper(env)
+    wrapped = SecActionWrapper(env)
     acfg = tiny_agent_config(wrapped.obs_dim, wrapped.action_dim)
     settings = TrainSettings(total_steps=80, episode_steps=500,
                              noise_stiffness=0.0, noise_diffusion=0.0)
@@ -145,7 +145,7 @@ def test_sec_wrapper_penalties_enter_training_reward():
 
 def test_passthrough_wrapper_preserves_task_reward():
     env = MotorEnv(MotorParams(), seed=4)
-    wrapped = PassthroughWrapper(env)
+    wrapped = SecActionWrapper(env)
     wrapped.reset(seed=4)
     _, r, _, info = wrapped.step(np.array([0.1, -0.1]))
     assert r == info["task_reward"]
