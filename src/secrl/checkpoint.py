@@ -24,6 +24,7 @@ from .nn.mlp import MlpParams
 from .nn.optim import AdamState, RmsPropState, SgdState
 
 FORMAT_VERSION = 1
+_READ_CHUNK = 1 << 18  # bytes
 
 
 def _jsonable(obj):
@@ -101,15 +102,31 @@ def _pack_network(prefix: str, params: MlpParams, arrays: dict) -> dict:
     }
 
 
+def _read_into(data, key: str, out: np.ndarray) -> None:
+    """Read npz member ``key`` straight into the view ``out``; a member of
+    another shape or dtype raises ConfigurationError."""
+    with data.zip.open(f"{key}.npy") as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ConfigurationError(f"checkpoint member {key}: unsupported npy version")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        if (shape, fortran_order, dtype) != (out.shape, False, out.dtype):
+            raise ConfigurationError(
+                f"checkpoint member {key}: {dtype}{shape}, expected {out.dtype}{out.shape}")
+        # Chunked like np.load: a small reused read buffer stays in cache.
+        dest = memoryview(out).cast("B")
+        for at in range(0, out.nbytes, _READ_CHUNK):
+            chunk = dest[at:at + _READ_CHUNK]
+            if fh.readinto(chunk) != len(chunk):
+                raise ConfigurationError(f"checkpoint member {key} is truncated")
+
+
 def _unpack_network(prefix: str, meta: dict, data) -> MlpParams:
-    sizes = meta["layer_sizes"]
-    return MlpParams(
-        layer_sizes=sizes,
-        weights=[data[f"{prefix}w{j}"] for j in range(len(sizes) - 1)],
-        biases=[data[f"{prefix}b{j}"] for j in range(len(sizes) - 1)],
-        beta=meta["beta"],
-        output_activation=meta["output_activation"],
-    )
+    params = MlpParams(meta["layer_sizes"], None, None, meta["beta"], meta["output_activation"])
+    for j, (w, b) in enumerate(zip(params.weights, params.biases)):
+        _read_into(data, f"{prefix}w{j}", w)
+        _read_into(data, f"{prefix}b{j}", b)
+    params.validate()
+    return params
 
 
 def save_network(path: str | Path, params: MlpParams) -> None:
@@ -119,14 +136,12 @@ def save_network(path: str | Path, params: MlpParams) -> None:
 
 def load_network(path: str | Path) -> MlpParams:
     with _reading(path, "network") as (meta, data):
-        params = _unpack_network("", meta, data)
-    params.validate()
-    return params
+        return _unpack_network("", meta, data)
 
 
 # -- optimizer states ------------------------------------------------------
 
-# kind -> (state class, {array key code: per-layer list field}, scalar fields)
+# kind -> (state class, {array key code: per-layer view list}, scalar fields)
 _OPTIMIZERS = {
     "adam": (AdamState, {"mw": "m_w", "mb": "m_b", "vw": "v_w", "vb": "v_b"},
              ("step", "beta1", "beta2", "eps")),
@@ -147,15 +162,18 @@ def _pack_optimizer(prefix: str, state, arrays: dict) -> dict:
     raise ConfigurationError(f"unknown optimizer state {type(state)!r}")
 
 
-def _unpack_optimizer(prefix: str, meta: dict, data):
+def _unpack_optimizer(prefix: str, meta: dict, data, params: MlpParams):
+    """The stored optimizer state of ``params``, read into fresh moments."""
     if meta["kind"] not in _OPTIMIZERS:
         raise ConfigurationError(f"unknown optimizer kind {meta['kind']!r}")
     cls, lists, scalars = _OPTIMIZERS[meta["kind"]]
-    return cls(
-        **{name: [data[f"{prefix}_{code}{j}"] for j in range(meta["layers"])]
-           for code, name in lists.items()},
-        **{k: meta[k] for k in scalars},
-    )
+    state = cls.for_params(params)
+    for k in scalars:
+        setattr(state, k, meta[k])
+    for j in range(len(params.weights)):
+        for code, name in lists.items():
+            _read_into(data, f"{prefix}_{code}{j}", getattr(state, name)[j])
+    return state
 
 
 # -- full agents -----------------------------------------------------------
@@ -178,8 +196,8 @@ def _unpack_agent(meta: dict, data, agent: DdpgAgent) -> None:
     agent.critic = _unpack_network("critic_", meta["critic"], data)
     agent.actor_target = _unpack_network("actor_t_", meta["actor_target"], data)
     agent.critic_target = _unpack_network("critic_t_", meta["critic_target"], data)
-    agent.actor_opt = _unpack_optimizer("aopt", meta["actor_opt"], data)
-    agent.critic_opt = _unpack_optimizer("copt", meta["critic_opt"], data)
+    agent.actor_opt = _unpack_optimizer("aopt", meta["actor_opt"], data, agent.actor)
+    agent.critic_opt = _unpack_optimizer("copt", meta["critic_opt"], data, agent.critic)
 
 
 def save_agent(path: str | Path, agent: DdpgAgent, extra: dict | None = None) -> None:

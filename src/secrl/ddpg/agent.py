@@ -86,14 +86,10 @@ def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
     """target <- (1 - tau) * target + tau * online, in place."""
     if not 0 <= tau <= 1:
         raise ConfigurationError(f"tau must be in [0, 1], got {tau}")
-    for tw, ow in zip(target.weights, online.weights):
-        if tw.shape != ow.shape:
-            raise ConfigurationError("target/online shape mismatch")
-        tw *= 1.0 - tau
-        tw += tau * ow
-    for tb, ob in zip(target.biases, online.biases):
-        tb *= 1.0 - tau
-        tb += tau * ob
+    if target.layer_sizes != online.layer_sizes:
+        raise ConfigurationError("target/online shape mismatch")
+    target.data *= 1.0 - tau
+    target.data += tau * online.data
 
 
 def critic_targets(agent: DdpgAgent, rewards, next_obs, terminals) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 Hidden layers use the leaky rectifier y = max(beta*x, x); the output layer
 is either tanh (policy networks, range (-1, 1)) or identity (value
-networks).  Everything is float64 numpy; batches are row-major
-(batch, features).
+networks).  Batches are row-major (batch, features).
+
+A network's parameters, its gradients and its optimizer moments are each
+one contiguous vector of ``DTYPE``, laid out by ``layer_views``; the
+per-layer weight and bias arrays are views into that vector.
 """
 
 from __future__ import annotations
@@ -19,21 +22,61 @@ LINEAR = "linear"
 
 _OUTPUT_ACTIVATIONS = (TANH, LINEAR)
 
+# Floating type of every parameter, gradient and optimizer-moment vector.
+DTYPE = np.float64
 
-@dataclass
+
+def layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into a flat parameter-layout vector.
+
+    Layer j's weight, shape (layer_sizes[j+1], layer_sizes[j]) row-major,
+    is followed by its bias, length layer_sizes[j+1]; layers follow in
+    order.  This is the only place that knows the layout.
+    """
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+def _flat_layers(layer_sizes, weights=None, biases=None):
+    """A new flat vector and its per-layer views, holding copies of the
+    ``weights``/``biases`` arrays, or zeros when they are None."""
+    if len(layer_sizes) < 2 or any(s <= 0 for s in layer_sizes):
+        raise ConfigurationError(f"bad layer sizes {layer_sizes}")
+    n = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+    data = np.zeros(n, DTYPE)
+    w_views, b_views = layer_views(data, layer_sizes)
+    if weights is not None:
+        for view, value in zip([*w_views, *b_views], [*weights, *biases], strict=True):
+            if np.shape(value) != view.shape:
+                raise ConfigurationError(
+                    f"parameter shape {np.shape(value)}, expected {view.shape}")
+            view[...] = value
+    return data, w_views, b_views
+
+
 class MlpParams:
-    """Weights/biases of a dense network.
+    """Weights/biases of a dense network, stored in one flat vector ``data``.
 
     weights[j] has shape (layer_sizes[j+1], layer_sizes[j]); biases[j] has
-    length layer_sizes[j+1].  ``beta`` is the hidden-layer leaky slope
-    (derivative at exactly 0 is defined as beta).
+    length layer_sizes[j+1].  Both are views into ``data``, so in-place
+    writes through either side reach the other.  ``beta`` is the
+    hidden-layer leaky slope (derivative at exactly 0 is defined as beta).
     """
 
-    layer_sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    beta: float
-    output_activation: str = TANH
+    def __init__(self, layer_sizes: list[int], weights: list[np.ndarray] | None,
+                 biases: list[np.ndarray] | None, beta: float, output_activation: str = TANH):
+        """Copy ``weights``/``biases`` into a new vector; None for both
+        gives an all-zero network."""
+        self.layer_sizes = list(layer_sizes)
+        self.beta = beta
+        self.output_activation = output_activation
+        self.data, self.weights, self.biases = _flat_layers(self.layer_sizes, weights, biases)
 
     @property
     def in_dim(self) -> int:
@@ -44,57 +87,40 @@ class MlpParams:
         return self.layer_sizes[-1]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            beta=self.beta,
-            output_activation=self.output_activation,
-        )
+        out = MlpParams(self.layer_sizes, None, None, self.beta, self.output_activation)
+        out.data[:] = self.data
+        return out
 
     def flat(self) -> np.ndarray:
-        """All parameters concatenated (weights then bias per layer)."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        """A copy of all parameters (layout: ``layer_views``)."""
+        return self.data.copy()
 
     def validate(self) -> None:
-        if len(self.layer_sizes) < 2 or any(s <= 0 for s in self.layer_sizes):
-            raise ConfigurationError(f"bad layer sizes {self.layer_sizes}")
         if self.beta <= 0:
             raise ConfigurationError(f"hidden slope beta must be > 0, got {self.beta}")
         if self.output_activation not in _OUTPUT_ACTIVATIONS:
             raise ConfigurationError(f"unknown output activation {self.output_activation!r}")
-        for j, (w, b) in enumerate(zip(self.weights, self.biases)):
-            want = (self.layer_sizes[j + 1], self.layer_sizes[j])
-            if w.shape != want or b.shape != (want[0],):
-                raise ConfigurationError(
-                    f"layer {j}: weight {w.shape} / bias {b.shape}, expected {want}"
-                )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ConfigurationError(f"layer {j}: non-finite parameters")
+        if not np.isfinite(self.data).all():
+            raise ConfigurationError("non-finite network parameters")
 
 
-@dataclass
 class ParamGrads:
-    """Gradients, shape-congruent with an MlpParams."""
+    """Gradients in the layout of an MlpParams: one flat vector ``data``
+    with per-layer views ``d_weights``/``d_biases``."""
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    def __init__(self, d_weights: list[np.ndarray] | None = None,
+                 d_biases: list[np.ndarray] | None = None, layer_sizes: list[int] | None = None):
+        """Copy per-layer gradients into a new vector, or, given only
+        ``layer_sizes``, start from zeros."""
+        if layer_sizes is None:
+            layer_sizes = [np.shape(d_weights[0])[1], *(np.shape(w)[0] for w in d_weights)]
+        self.data, self.d_weights, self.d_biases = _flat_layers(layer_sizes, d_weights, d_biases)
 
     def flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.d_weights, self.d_biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.data.copy()
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(g).all() for g in self.d_weights) and all(
-            np.isfinite(g).all() for g in self.d_biases
-        )
+        return bool(np.isfinite(self.data).all())
 
 
 @dataclass
@@ -120,26 +146,17 @@ def mlp_init(
     The scale factors multiply the base draw, so they act as pure magnitude
     knobs on top of a standard fan-in initialization.
     """
-    if len(layer_sizes) < 2 or any(s <= 0 for s in layer_sizes):
-        raise ConfigurationError(f"bad layer sizes {layer_sizes}")
     if weight_scale <= 0 or bias_scale <= 0:
         raise ConfigurationError(
             f"scale factors must be > 0, got weight {weight_scale}, bias {bias_scale}"
         )
     if beta <= 0:
         raise ConfigurationError(f"hidden slope beta must be > 0, got {beta}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(weight_scale * rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(bias_scale * rng.uniform(-bound, bound, size=fan_out))
-    params = MlpParams(
-        layer_sizes=list(layer_sizes),
-        weights=weights,
-        biases=biases,
-        beta=float(beta),
-        output_activation=output_activation,
-    )
+    params = MlpParams(layer_sizes, None, None, float(beta), output_activation)
+    for w, b in zip(params.weights, params.biases):
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = weight_scale * rng.uniform(-bound, bound, size=w.shape)
+        b[...] = bias_scale * rng.uniform(-bound, bound, size=b.shape)
     params.validate()
     return params
 
@@ -156,7 +173,7 @@ def _leaky_slope(z: np.ndarray, beta: float) -> np.ndarray:
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Evaluate the network; x is (features,) or (batch, features)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=DTYPE)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
@@ -183,50 +200,38 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
 
 
 def mlp_backward(
-    params: MlpParams, cache: ForwardCache, output_cotangent: np.ndarray
-) -> tuple[ParamGrads, np.ndarray]:
+    params: MlpParams, cache: ForwardCache, output_cotangent: np.ndarray,
+    param_grads: bool = True,
+) -> tuple[ParamGrads | None, np.ndarray]:
     """Exact reverse-mode gradients for a cached forward pass.
 
     Returns (parameter gradients, cotangent w.r.t. the network input).
     Batched cotangents are summed into the parameter gradients, matching
-    d(sum of per-sample scalars)/d(params).
+    d(sum of per-sample scalars)/d(params).  With ``param_grads=False`` the
+    dW/db products are skipped and None stands in for the gradients.
     """
-    g = np.asarray(output_cotangent, dtype=np.float64)
+    g = np.asarray(output_cotangent, dtype=DTYPE)
     squeeze = g.ndim == 1
     if squeeze:
         g = g[None, :]
     if cache.output is None or g.shape != cache.output.shape:
         raise ConfigurationError("cotangent shape does not match cached forward pass")
-    last = cache.n_layers - 1
     if params.output_activation == TANH:
         delta = g * (1.0 - cache.output ** 2)
     else:
         delta = g
-    d_weights: list[np.ndarray] = [None] * cache.n_layers  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * cache.n_layers  # type: ignore[list-item]
-    for j in range(last, -1, -1):
-        d_weights[j] = delta.T @ cache.inputs[j]
-        d_biases[j] = delta.sum(axis=0)
+    grads = ParamGrads(layer_sizes=params.layer_sizes) if param_grads else None
+    for j in range(cache.n_layers - 1, -1, -1):
+        if grads is not None:
+            np.matmul(delta.T, cache.inputs[j], out=grads.d_weights[j])
+            np.sum(delta, axis=0, out=grads.d_biases[j])
         delta = delta @ params.weights[j]
         if j > 0:
             delta = delta * _leaky_slope(cache.pre_acts[j - 1], params.beta)
-    grads = ParamGrads(d_weights=d_weights, d_biases=d_biases)
     x_cot = delta[0] if squeeze else delta
     return grads, x_cot
 
 
 def input_cotangent(params: MlpParams, cache: ForwardCache, output_cotangent: np.ndarray) -> np.ndarray:
     """Cotangent w.r.t. the input only (skips the dW/db products)."""
-    g = np.asarray(output_cotangent, dtype=np.float64)
-    squeeze = g.ndim == 1
-    if squeeze:
-        g = g[None, :]
-    if params.output_activation == TANH:
-        delta = g * (1.0 - cache.output ** 2)
-    else:
-        delta = g
-    for j in range(cache.n_layers - 1, -1, -1):
-        delta = delta @ params.weights[j]
-        if j > 0:
-            delta = delta * _leaky_slope(cache.pre_acts[j - 1], params.beta)
-    return delta[0] if squeeze else delta
+    return mlp_backward(params, cache, output_cotangent, param_grads=False)[1]

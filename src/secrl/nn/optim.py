@@ -1,70 +1,76 @@
 """First-order optimizers over MlpParams (Adam default; SGD/RMSprop variants).
 
 All optimizers minimize: they step along the negative gradient.  Callers
-that maximize pass the negated gradient.
+that maximize pass the negated gradient.  Each moment is one flat vector in
+the parameter layout, so every step is a handful of whole-vector operations;
+the per-layer ``*_w``/``*_b`` lists are views for inspection and
+checkpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import ConfigurationError, TrainingFault
-from .mlp import MlpParams, ParamGrads
-
-
-def _zeros_like_params(params: MlpParams) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    return ([np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases])
+from .mlp import DTYPE, MlpParams, ParamGrads, layer_views
 
 
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments (defaults 0.9 / 0.999 / 1e-8)."""
 
-    m_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_w: list[np.ndarray]
-    v_b: list[np.ndarray]
+    layer_sizes: list[int]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        self.m_w, self.m_b = layer_views(self.m, self.layer_sizes)
+        self.v_w, self.v_b = layer_views(self.v, self.layer_sizes)
+
     @classmethod
     def for_params(cls, params: MlpParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        mw, mb = _zeros_like_params(params)
-        vw, vb = _zeros_like_params(params)
-        return cls(m_w=mw, m_b=mb, v_w=vw, v_b=vb, beta1=beta1, beta2=beta2, eps=eps)
+        n = params.data.size
+        return cls(params.layer_sizes, np.zeros(n, DTYPE), np.zeros(n, DTYPE),
+                   beta1=beta1, beta2=beta2, eps=eps)
 
 
 @dataclass
 class SgdState:
     """Plain gradient descent; optional classical momentum."""
 
+    layer_sizes: list[int]
+    vel: np.ndarray
     momentum: float = 0.0
-    vel_w: list[np.ndarray] = field(default_factory=list)
-    vel_b: list[np.ndarray] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.vel_w, self.vel_b = layer_views(self.vel, self.layer_sizes)
 
     @classmethod
     def for_params(cls, params: MlpParams, momentum: float = 0.0) -> "SgdState":
-        vw, vb = _zeros_like_params(params)
-        return cls(momentum=momentum, vel_w=vw, vel_b=vb)
+        return cls(params.layer_sizes, np.zeros(params.data.size, DTYPE), momentum=momentum)
 
 
 @dataclass
 class RmsPropState:
     """RMSprop running mean of squared gradients."""
 
-    sq_w: list[np.ndarray]
-    sq_b: list[np.ndarray]
+    layer_sizes: list[int]
+    sq: np.ndarray
     rho: float = 0.99
     eps: float = 1e-8
 
+    def __post_init__(self):
+        self.sq_w, self.sq_b = layer_views(self.sq, self.layer_sizes)
+
     @classmethod
     def for_params(cls, params: MlpParams, rho: float = 0.99, eps: float = 1e-8) -> "RmsPropState":
-        sw, sb = _zeros_like_params(params)
-        return cls(sq_w=sw, sq_b=sb, rho=rho, eps=eps)
+        return cls(params.layer_sizes, np.zeros(params.data.size, DTYPE), rho=rho, eps=eps)
 
 
 OptimizerState = AdamState | SgdState | RmsPropState
@@ -87,20 +93,32 @@ def optimizer_step(state: OptimizerState, params: MlpParams, grads: ParamGrads, 
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     if not grads.is_finite():
         raise TrainingFault("non-finite gradient passed to optimizer")
+    p, g = params.data, grads.data
     if isinstance(state, AdamState):
-        _adam_step(state, params, grads, lr)
+        _adam_step(state, p, g, lr)
     elif isinstance(state, SgdState):
-        _sgd_step(state, params, grads, lr)
+        if state.momentum > 0.0:
+            state.vel *= state.momentum
+            state.vel += g
+            p -= lr * state.vel
+        else:
+            p -= lr * g
     elif isinstance(state, RmsPropState):
-        _rmsprop_step(state, params, grads, lr)
+        state.sq *= state.rho
+        state.sq += (1.0 - state.rho) * g * g
+        p -= lr * g / (np.sqrt(state.sq) + state.eps)
     else:  # pragma: no cover
         raise ConfigurationError(f"unknown optimizer state {type(state)!r}")
 
 
-def _adam_apply(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                b1: float, b2: float, c1: float, c2: float, lr: float, eps: float) -> None:
-    # In-place with one scratch array; this runs twice per training tick on
-    # every parameter tensor, so temporaries matter.
+def _adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float) -> None:
+    # In-place with one scratch vector; this runs twice per training tick
+    # over every parameter, so temporaries matter.
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    m, v = state.m, state.v
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
@@ -109,52 +127,7 @@ def _adam_apply(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     v += scratch
     np.divide(v, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += eps
+    scratch += state.eps
     np.divide(m, scratch, out=scratch)
     scratch *= lr / c1
     p -= scratch
-
-
-def _adam_step(state: AdamState, params: MlpParams, grads: ParamGrads, lr: float) -> None:
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    for w, b, gw, gb, mw, mb, vw, vb in zip(
-        params.weights, params.biases, grads.d_weights, grads.d_biases,
-        state.m_w, state.m_b, state.v_w, state.v_b,
-    ):
-        _adam_apply(w, gw, mw, vw, b1, b2, c1, c2, lr, state.eps)
-        _adam_apply(b, gb, mb, vb, b1, b2, c1, c2, lr, state.eps)
-
-
-def _sgd_step(state: SgdState, params: MlpParams, grads: ParamGrads, lr: float) -> None:
-    mu = state.momentum
-    for w, b, gw, gb, vw, vb in zip(
-        params.weights, params.biases, grads.d_weights, grads.d_biases,
-        state.vel_w, state.vel_b,
-    ):
-        if mu > 0.0:
-            vw *= mu
-            vw += gw
-            vb *= mu
-            vb += gb
-            w -= lr * vw
-            b -= lr * vb
-        else:
-            w -= lr * gw
-            b -= lr * gb
-
-
-def _rmsprop_step(state: RmsPropState, params: MlpParams, grads: ParamGrads, lr: float) -> None:
-    rho = state.rho
-    for w, b, gw, gb, sw, sb in zip(
-        params.weights, params.biases, grads.d_weights, grads.d_biases,
-        state.sq_w, state.sq_b,
-    ):
-        sw *= rho
-        sw += (1.0 - rho) * gw * gw
-        w -= lr * gw / (np.sqrt(sw) + state.eps)
-        sb *= rho
-        sb += (1.0 - rho) * gb * gb
-        b -= lr * gb / (np.sqrt(sb) + state.eps)

@@ -24,8 +24,3 @@ def derive_rng(seed: int, stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-def derive_seed(seed: int, stream: int) -> int:
-    """Scalar sub-seed for code that wants to re-derive its own streams."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFF)

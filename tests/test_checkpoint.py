@@ -176,3 +176,87 @@ def test_unreadable_checkpoints_are_configuration_errors(tmp_path, damage):
         path.unlink()
     with pytest.raises(ConfigurationError, match="cannot read checkpoint"):
         load_agent(path)
+
+
+# The frozen version-1 member table of a tiny SEC grid trainer (33 features,
+# 6 raw actions, actor [8], critic [16], Adam, replay ring of 50): name,
+# dtype and shape in file order.  Changing any entry breaks older readers.
+F = "float64"
+_AGENT_MEMBERS = [
+    ("meta", "<U", ()),
+    ("actor_w0", F, (8, 33)), ("actor_b0", F, (8,)),
+    ("actor_w1", F, (6, 8)), ("actor_b1", F, (6,)),
+    ("critic_w0", F, (16, 39)), ("critic_b0", F, (16,)),
+    ("critic_w1", F, (1, 16)), ("critic_b1", F, (1,)),
+    ("actor_t_w0", F, (8, 33)), ("actor_t_b0", F, (8,)),
+    ("actor_t_w1", F, (6, 8)), ("actor_t_b1", F, (6,)),
+    ("critic_t_w0", F, (16, 39)), ("critic_t_b0", F, (16,)),
+    ("critic_t_w1", F, (1, 16)), ("critic_t_b1", F, (1,)),
+    ("aopt_mw0", F, (8, 33)), ("aopt_mb0", F, (8,)),
+    ("aopt_vw0", F, (8, 33)), ("aopt_vb0", F, (8,)),
+    ("aopt_mw1", F, (6, 8)), ("aopt_mb1", F, (6,)),
+    ("aopt_vw1", F, (6, 8)), ("aopt_vb1", F, (6,)),
+    ("copt_mw0", F, (16, 39)), ("copt_mb0", F, (16,)),
+    ("copt_vw0", F, (16, 39)), ("copt_vb0", F, (16,)),
+    ("copt_mw1", F, (1, 16)), ("copt_mb1", F, (1,)),
+    ("copt_vw1", F, (1, 16)), ("copt_vb1", F, (1,)),
+]
+_TRAINER_MEMBERS = [
+    ("meta", "<U", ()),
+    ("buf_obs", F, (50, 33)), ("buf_act", F, (50, 6)), ("buf_rew", F, (50,)),
+    ("buf_next", F, (50, 33)), ("buf_term", F, (50,)),
+    *_AGENT_MEMBERS[1:],
+]
+
+
+def test_checkpoint_member_table_is_frozen(tmp_path):
+    import json
+
+    trainer = make_sec_grid_trainer(seed=3, steps=60, episode_steps=30, buffer_capacity=50)
+    trainer.run()
+    save_agent(tmp_path / "agent.npz", trainer.agent)
+    save_trainer(tmp_path / "checkpoint.npz", trainer)
+    for name, table in (("agent.npz", _AGENT_MEMBERS), ("checkpoint.npz", _TRAINER_MEMBERS)):
+        with np.load(tmp_path / name, allow_pickle=False) as data:
+            found = [(k, data[k].dtype.str[:2] if k == "meta" else str(data[k].dtype),
+                      data[k].shape) for k in data.files]
+            meta = json.loads(str(data["meta"]))
+        assert found == table, name
+        assert meta["version"] == 1
+        assert meta["actor_opt"] == {"kind": "adam", "step": trainer.agent.actor_opt.step,
+                                     "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "layers": 2}
+        assert meta["critic"] == {"layer_sizes": [39, 16, 1], "beta": 6.79e-3,
+                                  "output_activation": "linear"}
+
+
+@pytest.mark.parametrize("kind, codes", [("sgd", ("vw", "vb")), ("rmsprop", ("sw", "sb"))])
+def test_other_optimizer_members_are_frozen(tmp_path, kind, codes):
+    cfg = AgentConfig(obs_dim=3, action_dim=2, actor_hidden=[6], critic_hidden=[8],
+                      batch_size=4, buffer_capacity=16, optimizer=kind)
+    save_agent(tmp_path / "agent.npz", DdpgAgent(cfg, derive_rng(4, 0)))
+    with np.load(tmp_path / "agent.npz", allow_pickle=False) as data:
+        found = [(k, data[k].shape) for k in data.files if k.startswith("copt_")]
+    assert found == [("copt_" + codes[0] + "0", (8, 5)), ("copt_" + codes[1] + "0", (8,)),
+                     ("copt_" + codes[0] + "1", (1, 8)), ("copt_" + codes[1] + "1", (1,))]
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("shape", r"actor_w1: float64\(2, 5\), expected float64\(2, 6\)"),
+    ("dtype", r"copt_vb0: float32\(8,\), expected float64\(8,\)"),
+    ("nan", "non-finite network parameters"),
+])
+def test_corrupt_agent_members_are_configuration_errors(tmp_path, damage, message):
+    cfg = AgentConfig(obs_dim=3, action_dim=2, actor_hidden=[6], critic_hidden=[8],
+                      batch_size=4, buffer_capacity=16)
+    path = tmp_path / "agent.npz"
+    save_agent(path, DdpgAgent(cfg, derive_rng(4, 0)))
+    members = _members(path)
+    if damage == "shape":
+        members["actor_w1"] = members["actor_w1"][:, :-1]
+    elif damage == "dtype":
+        members["copt_vb0"] = members["copt_vb0"].astype(np.float32)
+    else:
+        members["critic_t_w0"][1, 2] = np.nan
+    np.savez(path, **members)
+    with pytest.raises(ConfigurationError, match=message):
+        load_agent(path)

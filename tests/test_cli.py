@@ -212,3 +212,27 @@ def test_truncated_checkpoints_exit_with_configuration_error(paused_run, tmp_pat
                "--out", str(tmp_path / "evalout")])
     assert rc == 2
     assert "cannot read checkpoint" in _error_record(capsys)["message"]
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("shape", "checkpoint member actor_w1: float64(4, 9), expected float64(4, 10)"),
+    ("nan", "non-finite network parameters"),
+])
+def test_corrupt_agent_checkpoint_exits_with_configuration_error(
+        paused_run, tmp_path, capsys, damage, message):
+    root, _, case_path = paused_run
+    with np.load(root / "head" / "agent.npz", allow_pickle=False) as data:
+        members = {k: data[k] for k in data.files}
+    if damage == "shape":
+        members["actor_w1"] = members["actor_w1"][:, :-1]
+    else:
+        members["actor_w0"][0, 0] = np.nan
+    np.savez(tmp_path / "agent.npz", **members)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(tmp_path / "agent.npz"),
+               "--testcase", str(case_path), "--override", "env.kind=motor",
+               "--out", str(tmp_path / "evalout")])
+    assert rc == 2
+    err = _error_record(capsys)
+    assert err["error"] == "configuration"
+    assert message in err["message"]
