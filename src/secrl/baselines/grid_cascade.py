@@ -10,6 +10,7 @@ search refines them on a seeded validation episode.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -45,19 +46,25 @@ def analytic_cascade_gains(params: GridParams, delay_steps: int = 1) -> CascadeG
 
 
 class GridCascadePolicy:
-    """Voltage/current PI cascade emitting modulation indices in [-1, 1]^3."""
+    """Voltage/current PI cascade emitting modulation indices in [-1, 1]^3.
 
-    def __init__(self, params: GridParams, gains: CascadeGains | None = None):
+    `gains` may also be a sequence of k candidates: the policy then holds
+    k cascades side by side, one row each, and maps measurements of shape
+    (3,) or (k, 3) to (k, 3) commands."""
+
+    def __init__(self, params: GridParams,
+                 gains: CascadeGains | Sequence[CascadeGains] | None = None):
         self.params = params
-        self.gains = gains or analytic_cascade_gains(params)
-        g = self.gains
-        self.outer = PiController(
-            np.full(3, g.kp_v), np.full(3, g.ki_v), -params.i_lim, params.i_lim
-        )
+        self.gains = analytic_cascade_gains(params) if gains is None else gains
+        single = isinstance(self.gains, CascadeGains)
         half_bus = params.v_dc / 2.0
-        self.inner = PiController(
-            np.full(3, g.kp_i / half_bus), np.full(3, g.ki_i / half_bus), -1.0, 1.0
-        )
+        table = np.array([[g.kp_v, g.ki_v, g.kp_i / half_bus, g.ki_i / half_bus]
+                          for g in ([self.gains] if single else self.gains)]).reshape(-1, 4)
+        # Per-channel gains (4, k, 3); one candidate drops the k axis.
+        per_channel = np.repeat(table.T[:, :, None], 3, axis=2)
+        kp_v, ki_v, kp_i, ki_i = per_channel[:, 0] if single else per_channel
+        self.outer = PiController(kp_v, ki_v, -params.i_lim, params.i_lim)
+        self.inner = PiController(kp_i, ki_i, -1.0, 1.0)
 
     def reset(self) -> None:
         self.outer.reset()
@@ -76,31 +83,45 @@ class GridCascadePolicy:
 
 
 def validation_score(
-    params: GridParams, gains: CascadeGains, seed: int, steps: int,
+    params: GridParams, gains: CascadeGains | Sequence[CascadeGains], seed: int, steps: int,
     load_series: np.ndarray | None = None,
-) -> tuple[float, bool]:
+) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
     """Mean task reward (discount 0) of a closed-loop seeded episode, plus
-    whether any limit violation occurred.
+    whether any limit violation occurred: (float, bool) for one
+    `CascadeGains`, and (scores[k], violated[k]) arrays for a sequence of k.
+
+    The k candidates are scored in one lockstep episode: k cascades drive
+    k copies of the plant (GridEnv.lockstep), and each step's load,
+    propagator and measurement-noise draw are shared by all rows.  k
+    separate episodes of the same seed would draw exactly those, because
+    neither the loads nor the noise depend on the plant state, so every
+    row's score and flag equal its candidate's own episode bit for bit.
 
     The episode's loads are those the live load process draws for `seed`;
     pass them as `load_series` (``seeded_load_series(seed, steps,
     params.dt)``) to skip drawing them again.  Replaying them as a schedule
     gives the same episode bit for bit."""
+    if steps < 1:
+        raise ConfigurationError(f"validation episode needs steps >= 1, got {steps}")
+    single = isinstance(gains, CascadeGains)
+    candidates = [gains] if single else list(gains)
     if load_series is None:
         load_series = seeded_load_series(seed, steps, params.dt)
     env = GridEnv(params, gamma=0.0, seed=seed, terminate_on_violation=False)
     env.set_load_schedule(load_series)
-    policy = GridCascadePolicy(params, gains)
     env.reset(seed=seed)
-    policy.reset()
-    total = 0.0
-    violated = False
+    env.lockstep(len(candidates))
+    policy = GridCascadePolicy(params, candidates)
+    total = np.zeros(len(candidates))
+    violated = np.zeros(len(candidates), dtype=bool)
     for _ in range(steps):
-        u = policy.action(env.measurements())
-        _, r, _, info = env.step(u, raw_p=u)
+        _, _, r, violation = env.advance(policy.action(env.measurements()))
         total += r
-        violated = violated or info["limit_violation"]
-    return total / steps, violated
+        violated |= violation
+    scores = total / steps
+    if single:
+        return float(scores[0]), bool(violated[0])
+    return scores, violated
 
 
 def tune_grid_cascade(
@@ -116,23 +137,28 @@ def tune_grid_cascade(
     validation episode; candidates with limit violations are rejected.
     The outer voltage loop wants more gain than its conservative analytic
     rule (disturbance rejection), hence the asymmetric factor sets.
+
+    All candidates go to validation_score as one batch: the sweep is a
+    single lockstep episode whose load, propagator and measurement-noise
+    draw per step are shared by every candidate, and each trial's score
+    and flag equal that candidate's own episode bit for bit.
     """
     base = analytic_cascade_gains(params)
-    loads = seeded_load_series(seed, steps, params.dt)
-    best_gains = None
-    best_score = -np.inf
-    trials = []
-    for fkp_v, fki_v, fkp_i, fki_i in product(factors_outer, factors_outer,
-                                              factors_inner, factors_inner):
-        gains = CascadeGains(
+    candidates = [
+        CascadeGains(
             kp_v=base.kp_v * fkp_v, ki_v=base.ki_v * fki_v,
             kp_i=base.kp_i * fkp_i, ki_i=base.ki_i * fki_i,
         )
-        score, violated = validation_score(params, gains, seed, steps, loads)
-        trials.append({"gains": gains.as_dict(), "score": score, "violated": violated})
-        if violated:
-            continue
-        if score > best_score:
+        for fkp_v, fki_v, fkp_i, fki_i in product(factors_outer, factors_outer,
+                                                  factors_inner, factors_inner)
+    ]
+    scores, violated = validation_score(params, candidates, seed, steps)
+    best_gains = None
+    best_score = -np.inf
+    trials = []
+    for gains, score, bad in zip(candidates, scores.tolist(), violated.tolist()):
+        trials.append({"gains": gains.as_dict(), "score": score, "violated": bad})
+        if not bad and score > best_score:
             best_score = score
             best_gains = gains
     if best_gains is None:

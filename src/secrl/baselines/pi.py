@@ -11,7 +11,16 @@ from ..envs.motor import MotorParams
 
 class PiController:
     """Per-channel PI: u = clip(kp*e + acc + ff); the accumulator carries
-    the integral part and is bled back when the output clips."""
+    the integral part and is bled back when the output clips.
+
+    `kp` and `ki` may have any shape, such as (m,) for one controller or
+    (k, m) for k controllers stepped together; the accumulator and output
+    take that shape, and an explicit `k_aw` must broadcast to it.  Every
+    operation is elementwise, so row r of a (k, m) controller computes
+    bit for bit what a (m,) controller with row r's gains would.  The clip
+    is np.minimum(np.maximum(u, lo), hi): it equals np.clip, NaN included,
+    except for the sign of a zero output at a bound of exactly 0.
+    """
 
     def __init__(self, kp, ki, lo: float, hi: float, k_aw=None):
         self.kp = np.atleast_1d(np.asarray(kp, dtype=np.float64))
@@ -41,7 +50,7 @@ class PiController:
             raise ConfigurationError(f"dt must be > 0, got {dt}")
         e = np.atleast_1d(np.asarray(error, dtype=np.float64))
         u_unclipped = self.kp * e + self.acc + feedforward
-        u = np.clip(u_unclipped, self.lo, self.hi)
+        u = np.minimum(np.maximum(u_unclipped, self.lo), self.hi)
         aw = self.k_aw * dt if self._k_aw_is_rate else self.k_aw
         self.acc = self.acc + self.ki * e * dt + aw * (u - u_unclipped)
         return u

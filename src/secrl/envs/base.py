@@ -32,6 +32,11 @@ class LtiStepper:
     same order, on every matrix of the stack, and m_per/n_per are stacks
     whose slice j equals the pair built from a[j] alone.  propagate(x, u, j)
     uses slice j.
+
+    `x` may also be a stack of states (k, n), with `u` of shape (k, m): row
+    r is then propagated as propagate(x[r], u[r], j) would, bit for bit,
+    through stacked mat-vecs.  (A 2-D product x @ m_per.T sums in another
+    order and is not bit-equal.)
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, dt: float, substeps: int):
@@ -57,6 +62,10 @@ class LtiStepper:
         self.c = c
 
     def propagate(self, x: np.ndarray, u: np.ndarray, j: int | None = None) -> np.ndarray:
+        if x.ndim == 2:
+            m, n = (self.m_per, self.n_per) if j is None else (self.m_per[j], self.n_per[j])
+            w = (self.b @ u[:, :, None])[:, :, 0] + self.c
+            return (m @ x[:, :, None])[:, :, 0] + (n @ w[:, :, None])[:, :, 0]
         if j is None:
             return self.m_per @ x + self.n_per @ (self.b @ u + self.c)
         return self.m_per[j] @ x + self.n_per[j] @ (self.b @ u + self.c)

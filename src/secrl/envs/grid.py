@@ -10,6 +10,7 @@ controller latency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,11 +72,17 @@ class GridParams:
         return np.array([self.v_nom, 0.0, 0.0])
 
 
-def grid_task_reward(v_ref: np.ndarray, v_meas: np.ndarray, v_lim: float, gamma: float) -> float:
+def grid_task_reward(
+    v_ref: np.ndarray, v_meas: np.ndarray, v_lim: float, gamma: float,
+) -> float | np.ndarray:
     """Mean root error over dq0; each channel's error ratio saturates at 1
-    so the per-step reward stays within [-(1-gamma), 0]."""
+    so the per-step reward stays within [-(1-gamma), 0].
+
+    A float for one measurement (3,); for a stack (k, 3), the k rewards,
+    each bit-equal to that row's float."""
     ratio = np.minimum(np.abs(np.asarray(v_ref) - np.asarray(v_meas)) / v_lim, 1.0)
-    return float(-(1.0 - gamma) / 3.0 * np.sum(np.sqrt(ratio)))
+    reward = -(1.0 - gamma) / 3.0 * np.sum(np.sqrt(ratio), axis=-1)
+    return float(reward) if reward.ndim == 0 else reward
 
 
 class LoadProcess:
@@ -109,7 +116,7 @@ class LoadProcess:
         # Lower clip bound is itself jittered, biasing occupancy toward the
         # high-demand (low resistance) end.
         lo = R_LOAD_MIN + rng.normal(0.0, 2.0)
-        return float(np.clip(rng.uniform(-10.0, R_LOAD_MAX), lo, R_LOAD_MAX))
+        return min(max(rng.uniform(-10.0, R_LOAD_MAX), lo), R_LOAD_MAX)
 
     def step(self, rng: np.random.Generator) -> float:
         if rng.uniform() < LOAD_EVENT_PROB:
@@ -130,9 +137,11 @@ class LoadProcess:
             self._drift_left -= 1
             if self._drift_left == 0:
                 self.mean = self._drift_target
-        shock = self.diffusion * np.sqrt(self.dt) * rng.standard_normal()
+        # Python floats throughout: per-step scalar numpy calls cost more
+        # than the arithmetic, and min/max clip as np.clip does.
+        shock = self.diffusion * math.sqrt(self.dt) * rng.standard_normal()
         self.value += self.stiffness * (self.mean - self.value) * self.dt + shock
-        self.value = float(np.clip(self.value, R_LOAD_MIN, R_LOAD_MAX))
+        self.value = min(max(self.value, R_LOAD_MIN), R_LOAD_MAX)
         return self.value
 
     def state_dict(self) -> dict:
@@ -265,9 +274,10 @@ class GridEnv:
         return obs
 
     def _measure(self) -> tuple[np.ndarray, np.ndarray]:
+        # One noise draw per step, shared by every row of a lockstep state.
         p = self.params
-        v = self._x[3:6].copy()
-        i = self._x[0:3].copy()
+        v = self._x[..., 3:6].copy()
+        i = self._x[..., 0:3].copy()
         if p.noise_v > 0:
             v += p.noise_v * self._rng_noise.standard_normal(3)
         if p.noise_i > 0:
@@ -287,12 +297,34 @@ class GridEnv:
             self._hist.flat() / p.v_lim,
         ])
 
-    def step(self, u: np.ndarray, raw_p: np.ndarray | None = None, raw_i: np.ndarray | None = None):
+    def lockstep(self, k: int) -> None:
+        """Run the freshly reset episode as k copies of the plant in lockstep.
+
+        The state becomes (k, 6) and the pending command (k, 3), and
+        advance() then takes one (k, 3) command per step.  Every copy sees
+        the episode's loads and measurement noise, which do not depend on
+        the state, so row r evolves bit for bit as a 1-D episode under row
+        r's commands would.  Observation features have no stacked form:
+        step() refuses a lockstep episode until the next reset()."""
+        if self._x.ndim != 1 or self._step_in_episode != 0:
+            raise EnvironmentFault("lockstep() needs a freshly reset episode")
+        self._x = np.repeat(self._x[None], k, axis=0)
+        self._pending_u = np.repeat(self._pending_u[None], k, axis=0)
+        self._last_meas = tuple(np.repeat(m[None], k, axis=0) for m in self._last_meas)
+
+    def advance(self, u: np.ndarray):
+        """One control period under the command `u`: the dead time, the
+        propagation under this step's load, the noisy measurement, the task
+        reward and the limit-violation flag.
+
+        Returns (v_meas, i_meas, task_reward, limit_violation), per row
+        for a lockstep() episode.  step() is this plus the observation."""
         if self._terminal:
             raise EnvironmentFault("step() called on terminal environment; reset first")
         u = np.asarray(u, dtype=np.float64)
-        if u.shape != (3,):
-            raise ConfigurationError(f"grid action must have shape (3,), got {u.shape}")
+        if u.shape != self._pending_u.shape:
+            raise ConfigurationError(
+                f"grid action must have shape {self._pending_u.shape}, got {u.shape}")
         if np.any(np.abs(u) > 1.0 + 1e-9):
             raise ConfigurationError(f"action outside [-1, 1]: {u}")
         u = np.clip(u, -1.0, 1.0)
@@ -313,18 +345,24 @@ class GridEnv:
             raise EnvironmentFault("grid plant state became non-finite")
         v_meas, i_meas = self._measure()
         reward = grid_task_reward(self._v_ref, v_meas, p.v_lim, self.gamma)
-        violation = bool(
-            np.any(np.abs(self._x[3:6]) > p.v_lim) or np.any(np.abs(self._x[0:3]) > p.i_lim)
-        )
+        violation = ((np.abs(self._x[..., 3:6]) > p.v_lim).any(axis=-1)
+                     | (np.abs(self._x[..., 0:3]) > p.i_lim).any(axis=-1))
+        self._pending_u = u
+        self._step_in_episode += 1
+        self._last_meas = (v_meas, i_meas)
+        return v_meas, i_meas, reward, violation
+
+    def step(self, u: np.ndarray, raw_p: np.ndarray | None = None, raw_i: np.ndarray | None = None):
+        if self._x.ndim != 1:
+            raise EnvironmentFault("step() on a lockstep episode; use advance()")
+        v_meas, i_meas, reward, violation = self.advance(u)
+        violation = bool(violation)
         terminal = violation and self.terminate_on_violation
         self._terminal = terminal
         rp = np.zeros(3) if raw_p is None else np.asarray(raw_p, dtype=np.float64)
         ri = np.zeros(3) if raw_i is None else np.asarray(raw_i, dtype=np.float64)
         obs = self._features(v_meas, i_meas, rp, ri)
         self._hist.push(v_meas)
-        self._pending_u = u.copy()
-        self._step_in_episode += 1
-        self._last_meas = (v_meas, i_meas)
         info = {
             "task_reward": reward,
             "v_meas": v_meas,

@@ -57,6 +57,44 @@ class TestPiController:
         with pytest.raises(ConfigurationError):
             PiController(1.0, 1.0, 1.0, -1.0)
 
+    def test_k_row_controller_equals_k_one_row_controllers(self):
+        rng = np.random.default_rng(21)
+        kp = rng.uniform(0.2, 3.0, size=(5, 3))
+        ki = rng.uniform(5.0, 400.0, size=(5, 3))
+        # Rows 0 and 1 saturate (high gain, large offset), so their
+        # anti-windup engages; rows 2-4 see small zero-mean errors and stay
+        # inside the limits.  k_aw * dt stays below 1 on every row.
+        kp[0] *= 20.0
+        kp[2:] *= 0.2
+        ki[2:] *= 0.1
+        scale = np.array([0.3, 0.3, 0.05, 0.05, 0.05])[:, None]
+        bias = np.array([0.05, 0.5, 0.0, 0.0, 0.0])[:, None]
+        batch = PiController(kp, ki, -1.0, 1.0)
+        rows = [PiController(kp[r], ki[r], -1.0, 1.0) for r in range(5)]
+        clipped = np.zeros((5, 3), dtype=bool)
+        for _ in range(2000):
+            e = rng.standard_normal((5, 3)) * scale + bias
+            ff = rng.standard_normal((5, 3)) * scale
+            u = batch.step(e, 1e-3, feedforward=ff)
+            clipped |= np.abs(u) == 1.0
+            for r, pi in enumerate(rows):
+                assert pi.step(e[r], 1e-3, feedforward=ff[r]).tobytes() == u[r].tobytes()
+                assert pi.acc.tobytes() == batch.acc[r].tobytes()
+        assert clipped[:2].any(axis=1).all() and not clipped[2:].any()
+        assert np.isfinite(batch.acc).all()
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (-30.0, 30.0)])
+    def test_output_clip_matches_np_clip_on_signed_zero_and_nan(self, lo, hi):
+        u = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, hi, lo, 2.0 * hi, 2.0 * lo])
+        pi = PiController(np.ones_like(u), np.zeros_like(u), lo, hi)
+        # x + -0.0 is x for every x, so the unclipped output is u itself.
+        pi.acc = np.full_like(u, -0.0)
+        with np.errstate(invalid="ignore"):   # inf - inf in the accumulator update
+            out = pi.step(u, 1e-3, feedforward=-0.0)
+        assert out.tobytes() == np.clip(u, lo, hi).tobytes()
+        assert np.signbit(out[:2]).tolist() == [False, True]
+        assert np.isnan(out[2:4]).all()
+
 
 class TestSymmetricalOptimum:
     def test_gains_scale_with_inductance(self):
@@ -194,3 +232,69 @@ class TestGridTuningOnFrozenLoads:
                 best, best_score = g, score
         assert gains == best
         assert report["best_score"] == best_score
+
+
+def mixed_candidates(params):
+    """Eight gain candidates of which some hit the limits within a few
+    hundred steps and some do not."""
+    base = analytic_cascade_gains(params)
+    return [
+        CascadeGains(kp_v=base.kp_v * a, ki_v=base.ki_v * b, kp_i=base.kp_i * c, ki_i=base.ki_i)
+        for a in (1.0, 6.0) for b in (1.0, 4.0) for c in (0.5, 3.0)
+    ]
+
+
+class TestLockstepScorer:
+    @pytest.mark.parametrize("dt", [1e-4, 2e-4])
+    def test_batch_rows_equal_live_episodes(self, dt):
+        p = GridParams(dt=dt)
+        candidates = mixed_candidates(p)
+        scores, violated = validation_score(p, candidates, seed=9, steps=600)
+        assert scores.shape == violated.shape == (len(candidates),)
+        assert 0 < violated.sum() < len(candidates)
+        for g, score, bad in zip(candidates, scores, violated):
+            assert (float(score), bool(bad)) == live_validation_episode(p, g, seed=9, steps=600)
+
+    @pytest.mark.parametrize("dt,score_hex,violated", [
+        (1e-4, "-0x1.259ee1cc98a2ap-4", False),
+        (2e-4, "-0x1.951c83391110dp-3", True),
+    ])
+    def test_one_candidate_returns_python_scalars(self, dt, score_hex, violated):
+        # Values of the one-episode-per-candidate scorer this one replaced.
+        p = GridParams(dt=dt)
+        score, bad = validation_score(p, analytic_cascade_gains(p), seed=12, steps=700)
+        assert type(score) is float and type(bad) is bool
+        assert (score.hex(), bad) == (score_hex, violated)
+
+    def test_permuting_candidates_permutes_results(self):
+        p = GridParams(dt=2e-4)
+        candidates = mixed_candidates(p)
+        scores, violated = validation_score(p, candidates, seed=10, steps=400)
+        order = np.random.default_rng(3).permutation(len(candidates))
+        s2, v2 = validation_score(p, [candidates[k] for k in order], seed=10, steps=400)
+        assert s2.tobytes() == scores[order].tobytes()
+        assert v2.tolist() == violated[order].tolist()
+
+    def test_empty_search_grid_still_finds_no_candidate(self):
+        with pytest.raises(ConfigurationError, match="no stabilizing gain candidate"):
+            tune_grid_cascade(GridParams(), seed=1, factors_outer=(), steps=100)
+
+    def test_empty_episode_rejected(self):
+        p = GridParams()
+        with pytest.raises(ConfigurationError, match="steps >= 1"):
+            validation_score(p, analytic_cascade_gains(p), seed=1, steps=0)
+
+    def test_stacked_propagate_equals_per_row_calls(self):
+        p = GridParams()
+        env = GridEnv(p)
+        loads = np.array([14.0, 37.5, 200.0])
+        env.set_load_schedule(loads)
+        stack, _ = env._scheduled_stepper(0)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((36, 6)) * 100.0
+        u = rng.uniform(-300.0, 300.0, size=(36, 3))
+        for stepper, j in [(env._stepper_for(37.5), None), (stack, 0), (stack, 2)]:
+            out = stepper.propagate(x, u, j)
+            assert out.shape == (36, 6)
+            for r in range(36):
+                assert out[r].tobytes() == stepper.propagate(x[r], u[r], j).tobytes()

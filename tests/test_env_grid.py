@@ -7,14 +7,21 @@ import pytest
 from secrl import ConfigurationError, EnvironmentFault
 from secrl.envs.base import LtiStepper
 from secrl.envs.grid import (
+    DRIFT_STEPS_RANGE,
+    LOAD_DIFFUSION_RANGE,
+    LOAD_EVENT_PROB,
+    LOAD_STIFFNESS_RANGE,
+    R_LOAD_MAX,
+    R_LOAD_MIN,
     SCHEDULE_BLOCK,
     GridEnv,
     GridParams,
     LoadProcess,
     grid_task_reward,
+    seeded_load_series,
 )
 from secrl.evaluation.testcases import gen_grid_testcase, gen_steadystate_testcase
-from secrl.seeding import STREAM_ENV, derive_rng
+from secrl.seeding import STREAM_ENV, STREAM_LOAD, derive_rng
 
 QUIET = dict(noise_v=0.0, noise_i=0.0)
 
@@ -167,6 +174,74 @@ class TestLoadProcess:
         rng_b = derive_rng(13, 3)
         series_b = [proc_b.step(rng_b) for _ in range(500)]
         assert series_a == series_b
+
+
+def np_clip_load_series(seed: int, steps: int, dt: float) -> np.ndarray:
+    """seeded_load_series through the scalar np.clip calls LoadProcess
+    used to make: the reference its min/max clips must match bit for bit."""
+
+    class NpClipLoad(LoadProcess):
+        def _draw_mean(self, rng):
+            lo = R_LOAD_MIN + rng.normal(0.0, 2.0)
+            return float(np.clip(rng.uniform(-10.0, R_LOAD_MAX), lo, R_LOAD_MAX))
+
+        def step(self, rng):
+            if rng.uniform() < LOAD_EVENT_PROB:
+                self.event_count += 1
+                self.stiffness = rng.uniform(*LOAD_STIFFNESS_RANGE)
+                self.diffusion = rng.uniform(*LOAD_DIFFUSION_RANGE)
+                new_mean = self._draw_mean(rng)
+                if rng.uniform() < 0.5:
+                    self.mean = new_mean
+                    self._drift_left = 0
+                else:
+                    steps = int(rng.integers(DRIFT_STEPS_RANGE[0], DRIFT_STEPS_RANGE[1] + 1))
+                    self._drift_target = new_mean
+                    self._drift_rate = (new_mean - self.mean) / steps
+                    self._drift_left = steps
+            if self._drift_left > 0:
+                self.mean += self._drift_rate
+                self._drift_left -= 1
+                if self._drift_left == 0:
+                    self.mean = self._drift_target
+            shock = self.diffusion * np.sqrt(self.dt) * rng.standard_normal()
+            self.value += self.stiffness * (self.mean - self.value) * self.dt + shock
+            self.value = float(np.clip(self.value, R_LOAD_MIN, R_LOAD_MAX))
+            return self.value
+
+    rng = derive_rng(seed, STREAM_LOAD)
+    proc = NpClipLoad.draw(rng, dt)
+    return np.array([proc.step(rng) for _ in range(steps)])
+
+
+class TestLoadClipReference:
+    def test_series_equals_np_clip_reference(self):
+        at_min = at_max = 0
+        for seed in range(6):
+            series = seeded_load_series(seed, 20_000, 1e-4)
+            assert series.tobytes() == np_clip_load_series(seed, 20_000, 1e-4).tobytes(), seed
+            at_min += int(np.sum(series == R_LOAD_MIN))
+            at_max += int(np.sum(series == R_LOAD_MAX))
+        assert at_min > 0 and at_max > 0
+
+
+class TestLockstep:
+    def test_lockstep_needs_fresh_episode_and_refuses_step(self):
+        env = GridEnv(GridParams(), seed=5)
+        env.step(np.zeros(3))
+        with pytest.raises(EnvironmentFault):
+            env.lockstep(4)
+        env.reset(seed=5)
+        env.lockstep(4)
+        assert env.measurements()["v"].shape == (4, 3)
+        with pytest.raises(EnvironmentFault):
+            env.step(np.zeros(3))
+        with pytest.raises(ConfigurationError):
+            env.advance(np.zeros(3))
+        v, i, r, violation = env.advance(np.zeros((4, 3)))
+        assert v.shape == i.shape == (4, 3) and r.shape == violation.shape == (4,)
+        env.reset(seed=5)
+        env.step(np.zeros(3))
 
 
 class TestFeaturesAndReward:
