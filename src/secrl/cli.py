@@ -8,43 +8,25 @@ exit nonzero after printing a machine-readable JSON record to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import ConfigurationError, EnvironmentFault, TrainingFault
-from .checkpoint import (
-    load_agent,
-    load_config_echo,
-    load_trainer_into,
-    save_agent,
-    save_trainer,
-)
-from .config import RunConfig, parse_config, parse_override_strings
-from .ddpg.train import Trainer
+from .checkpoint import load_agent, load_config_echo, load_trainer_into
+from .config import RL_VARIANTS, RunConfig, parse_config, parse_override_strings
 from .evaluation.experiment import (
     AgentPolicy,
     build_eval_env,
-    build_training_env,
+    build_trainer,
     evaluate_policy,
+    make_testcase,
     run_experiment,
-    write_learning_curve,
+    train_agent,
+    write_report,
 )
-from .evaluation.testcases import (
-    GRID_LOAD_PROFILE,
-    GRID_STEADYSTATE,
-    MOTOR_REFERENCE_PROFILE,
-    MOTOR_STEADYSTATE,
-    TestCase,
-    gen_grid_testcase,
-    gen_motor_profile,
-    gen_steadystate_testcase,
-)
-from .sec import actor_output_width
+from .evaluation.testcases import KINDS, TestCase
 
 log = logging.getLogger("secrl")
 
@@ -71,10 +53,11 @@ def _load_config(args) -> tuple[RunConfig, int, Path]:
     return cfg, cfg["seed"], out_dir
 
 
-def _check_resume_config(path: Path, current: dict) -> None:
+def _check_resume_config(path: Path, cfg: RunConfig) -> None:
     """Refuse to resume a snapshot written under different config values;
     only the output directory may change."""
     stored = load_config_echo(path).get("values", {})
+    current = json.loads(cfg.to_json())["values"]
     missing = "<unset>"
     diffs = [f"{key}: checkpoint {stored.get(key, missing)!r}, now {current.get(key, missing)!r}"
              for key in sorted(stored.keys() | current.keys())
@@ -87,49 +70,28 @@ def _check_resume_config(path: Path, current: dict) -> None:
 def cmd_train(args) -> int:
     cfg, seed, out_dir = _load_config(args)
     variant = cfg["agent.variant"]
-    if variant not in ("ddpg", "sec-ddpg"):
-        raise ConfigurationError(f"agent.variant must be ddpg or sec-ddpg for train, got {variant!r}")
+    if variant not in RL_VARIANTS:
+        raise ConfigurationError(
+            f"agent.variant must be {' or '.join(RL_VARIANTS)} for train, got {variant!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "effective_config.yaml")
 
-    wrapped = build_training_env(cfg, variant, seed)
-    width = actor_output_width(wrapped.env.action_dim, use_sec=(variant == "sec-ddpg"))
-    agent_cfg = cfg.agent_config(wrapped.obs_dim, width)
-
-    ckpt_path = out_dir / "checkpoint.npz"
-    config_echo = json.loads(cfg.to_json())
-
-    def checkpoint_fn(trainer):
-        save_trainer(ckpt_path, trainer, config_echo=config_echo)
-        log.info("checkpoint written at step %d", trainer.step)
-
-    settings = cfg.train_settings(checkpoint_fn=checkpoint_fn)
-    trainer = Trainer(wrapped, agent_cfg, settings, seed)
+    trainer = build_trainer(cfg, variant, seed, out_dir)
+    # The periodic snapshot writer also writes the final and the interrupt snapshots.
+    write_checkpoint = trainer.settings.checkpoint_fn
     if args.resume is not None:
-        _check_resume_config(args.resume, config_echo["values"])
+        _check_resume_config(args.resume, cfg)
         load_trainer_into(args.resume, trainer)
         log.info("resumed from %s at step %d", args.resume, trainer.step)
     try:
-        result = trainer.run(until_step=args.until_step)
+        result = train_agent(trainer, cfg, variant, out_dir, until_step=args.until_step)
     except KeyboardInterrupt:
         # Safe interruption: freeze the full training state for --resume.
-        save_trainer(ckpt_path, trainer, config_echo=config_echo)
-        (out_dir / "events.json").write_text(json.dumps(trainer.events, indent=1))
+        write_checkpoint(trainer)
         print(json.dumps({"interrupted_at_step": trainer.step,
-                          "resume_from": str(ckpt_path)}), file=sys.stderr)
+                          "resume_from": str(out_dir / "checkpoint.npz")}), file=sys.stderr)
         return 130
-    except Exception:
-        # Keep the event log of the aborted run next to its artifacts.
-        (out_dir / "events.json").write_text(json.dumps(trainer.events, indent=1))
-        raise
-
-    save_trainer(ckpt_path, trainer, config_echo=config_echo)
-    save_agent(out_dir / "agent.npz", result.agent, extra={
-        "variant": variant, "seed": seed, "env_kind": cfg["env.kind"],
-        "sec": {"t_i": cfg["sec.t_i"], "t_aw": cfg["sec.t_aw"]},
-    })
-    write_learning_curve(out_dir / "learning_curve.csv", result.curve)
-    (out_dir / "events.json").write_text(json.dumps(result.events, indent=1))
+    write_checkpoint(trainer)
     print(f"trained {variant} for {trainer.step} steps "
           f"({len(result.curve)} episodes); artifacts in {out_dir}")
     return 0
@@ -157,12 +119,8 @@ def cmd_eval(args) -> int:
     cases = [TestCase.load(p) for p in args.testcase]
     rows = evaluate_policy(cfg, policy, cases, run_seed=seed,
                            out_dir=out_dir, save_trajectories=True)
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "seed", "test_case_id", "metric_name", "value"])
-        for row in rows:
-            writer.writerow([extra.get("variant", "agent"), seed,
-                             row["test_case_id"], row["metric_name"], row["value"]])
+    write_report(out_dir / "report.csv",
+                 [{"variant": extra.get("variant", "agent"), "seed": seed, "rows": rows}])
     headline = {r["metric_name"]: r["value"] for r in rows
                 if r["metric_name"] in ("mean_reward", "steady_state_mean")}
     print(json.dumps({"checkpoint": str(args.checkpoint), "metrics": headline}))
@@ -181,21 +139,7 @@ def cmd_compare(args) -> int:
 def cmd_gen_testcase(args) -> int:
     cfg, seed, out_dir = _load_config(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    segments = cfg["experiment.segments"]
-    seg_len = cfg["experiment.segment_length"]
-    radius = cfg["env.motor.reference_radius"] * cfg["env.motor.i_lim"]
-    if args.kind == GRID_LOAD_PROFILE:
-        case = gen_grid_testcase(seed, args.steps or cfg["experiment.grid_transient_steps"],
-                                 cfg["train.sampling_time"])
-    elif args.kind == GRID_STEADYSTATE:
-        case = gen_steadystate_testcase("grid", seed, segments, seg_len)
-    elif args.kind == MOTOR_REFERENCE_PROFILE:
-        case = gen_motor_profile(seed, args.steps or cfg["experiment.motor_profile_steps"],
-                                 seg_len, radius)
-    elif args.kind == MOTOR_STEADYSTATE:
-        case = gen_steadystate_testcase("motor", seed, segments, seg_len, radius)
-    else:
-        raise ConfigurationError(f"unknown test case kind {args.kind!r}")
+    case = make_testcase(cfg, args.kind, seed, args.steps)
     path = out_dir / f"testcase-{case.case_id}.npz"
     case.save(path)
     print(str(path))
@@ -229,9 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-testcase", help="generate and freeze a test case")
     _add_common(p_gen)
-    p_gen.add_argument("--kind", required=True, choices=[
-        GRID_LOAD_PROFILE, GRID_STEADYSTATE, MOTOR_REFERENCE_PROFILE, MOTOR_STEADYSTATE,
-    ])
+    p_gen.add_argument("--kind", required=True, choices=KINDS)
     p_gen.add_argument("--steps", type=int, default=None)
     p_gen.set_defaults(fn=cmd_gen_testcase)
     return parser

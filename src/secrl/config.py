@@ -26,6 +26,9 @@ from .sec import SecRewardConfig
 
 FULL_SCALE_STEPS = 5_000_000
 
+RL_VARIANTS = ("ddpg", "sec-ddpg")   # trained agents, plain and augmented
+VARIANTS = (*RL_VARIANTS, "pi")       # plus the classical baseline
+
 _INT = "int"
 _FLOAT = "float"
 _BOOL = "bool"
@@ -117,7 +120,7 @@ SCHEMA: dict[str, _Key] = {
     "train.progress_every": _Key(0, _INT, lo=0),
     "train.checkpoint_every": _Key(0, _INT, lo=0),
     # agent hyperparameters (tuned values; ranges from the search setting)
-    "agent.variant": _Key("sec-ddpg", _STR, choices=("ddpg", "sec-ddpg", "pi")),
+    "agent.variant": _Key("sec-ddpg", _STR, choices=VARIANTS),
     "agent.gamma": _Key(0.946, _FLOAT, lo=0.5, hi=0.999),
     "agent.lr": _Key(3.75e-4, _FLOAT, lo=1e-6, hi=5e-2),
     "agent.lr_final": _Key(3.13e-4, _FLOAT, lo=1e-12, hi=5e-2),
@@ -156,7 +159,7 @@ SCHEMA: dict[str, _Key] = {
     **_plant_keys("grid"),
     **_plant_keys("motor"),
     # experiment harness
-    "experiment.variants": _Key(["ddpg", "sec-ddpg", "pi"], _STR_LIST),
+    "experiment.variants": _Key(list(VARIANTS), _STR_LIST),
     "experiment.seeds": _Key([1, 2, 3, 4, 5], _INT_LIST),
     "experiment.workers": _Key(1, _INT, lo=1),
     "experiment.testcase_seed": _Key(97, _INT),
@@ -298,7 +301,7 @@ def _validate_ranges(values: dict) -> None:
     if values["agent.lr_decay_end"] < values["agent.lr_decay_start"]:
         problems.append("agent.lr_decay_end must be >= agent.lr_decay_start")
     for variant in values["experiment.variants"]:
-        if variant not in ("ddpg", "sec-ddpg", "pi"):
+        if variant not in VARIANTS:
             problems.append(f"experiment.variants contains unknown variant {variant!r}")
     if problems:
         raise ConfigurationError(

@@ -50,7 +50,8 @@ class TrainSettings:
 
 class Trainer:
     """Holds every piece of mutable training state so a run can be frozen
-    to disk and resumed bit-exactly."""
+    to disk and resumed bit-exactly.  `env` is a SecActionWrapper; a
+    snapshot holds its state and that of the plant it wraps."""
 
     def __init__(self, env, agent_config: AgentConfig, settings: TrainSettings, seed: int):
         self.env = env
@@ -152,8 +153,8 @@ class Trainer:
             "rng_expl": self.rng_expl.bit_generator.state,
             "rng_replay": self.rng_replay.bit_generator.state,
             "buffer": self.buffer.state_dict(),
-            "env": self.env.state_dict() if hasattr(self.env, "state_dict") else None,
-            "inner_env": self.env.env.state_dict() if hasattr(self.env, "env") else None,
+            "env": self.env.state_dict(),
+            "inner_env": self.env.env.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -169,9 +170,9 @@ class Trainer:
         self.rng_expl.bit_generator.state = state["rng_expl"]
         self.rng_replay.bit_generator.state = state["rng_replay"]
         self.buffer.load_state_dict(state["buffer"])
-        if state.get("env") is not None and hasattr(self.env, "load_state_dict"):
+        if state.get("env") is not None:
             self.env.load_state_dict(state["env"])
-        if state.get("inner_env") is not None and hasattr(self.env, "env"):
+        if state.get("inner_env") is not None:
             self.env.env.load_state_dict(state["inner_env"])
 
 

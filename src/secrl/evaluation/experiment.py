@@ -4,6 +4,11 @@ Evaluation always uses the deterministic policy (no exploration noise),
 steps the plant through the same SecActionWrapper as training (so augmented
 agents keep the integrator in the action path), disables limit termination
 so windows stay complete, and reports task metrics only.
+
+This module is the one run path: ``secrl train``, ``eval``, ``gen-testcase``
+and ``compare`` build trainers, write run artifacts, make test cases and
+write reports through the functions here, and every grid/motor difference
+is a field of one entry in ``PLANTS``.
 """
 
 from __future__ import annotations
@@ -15,19 +20,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .. import ConfigurationError
 from ..baselines.grid_cascade import CascadeGains, GridCascadePolicy, tune_grid_cascade
 from ..baselines.pi import MotorPiPolicy
-from ..checkpoint import save_agent
-from ..config import RunConfig
-from ..ddpg.train import Trainer
+from ..checkpoint import save_agent, save_trainer
+from ..config import RL_VARIANTS, RunConfig
+from ..ddpg.train import Trainer, TrainResult
 from ..envs.grid import GridEnv
 from ..envs.motor import MotorEnv
 from ..nn.mlp import MlpParams, mlp_forward
-from ..sec import SecActionWrapper, actor_output_width
+from ..sec import SecActionWrapper
 from .metrics import Trajectory, box_stats, mean_task_reward, steady_state_metric
 from .testcases import (
     GRID_LOAD_PROFILE,
@@ -42,7 +48,37 @@ from .testcases import (
 
 log = logging.getLogger(__name__)
 
-RL_VARIANTS = ("ddpg", "sec-ddpg")
+
+@dataclass(frozen=True)
+class Plant:
+    """The facts about one plant kind that the run path needs."""
+
+    name: str
+    env_cls: type
+    params: Callable         # RunConfig -> plant parameters
+    set_schedule: Callable   # (env, test-case payload): replay a frozen series
+    ref_key: str             # step-info keys of the reference and the measurement
+    meas_key: str
+    limit: str               # parameter field the metrics normalize by
+    cases: tuple[str, str]   # test-case kinds: transient profile, steady state
+    pi: Callable             # (cfg, tuned cascade gains or None) -> PI controller
+
+
+PLANTS = {
+    "grid": Plant("grid", GridEnv, RunConfig.grid_params, GridEnv.set_load_schedule,
+                  "v_ref", "v_meas", "v_lim", (GRID_LOAD_PROFILE, GRID_STEADYSTATE),
+                  lambda cfg, gains: GridCascadePolicy(cfg.grid_params(), gains)),
+    "motor": Plant("motor", MotorEnv, RunConfig.motor_params, MotorEnv.set_reference_schedule,
+                   "i_ref", "i_meas", "i_lim", (MOTOR_REFERENCE_PROFILE, MOTOR_STEADYSTATE),
+                   lambda cfg, gains: MotorPiPolicy(cfg.motor_params())),
+}
+_CASE_PLANT = {kind: plant for plant in PLANTS.values() for kind in plant.cases}
+
+
+def _plant(kind: str) -> Plant:
+    if kind not in PLANTS:
+        raise ConfigurationError(f"unknown plant kind {kind!r}")
+    return PLANTS[kind]
 
 
 class AgentPolicy:
@@ -83,25 +119,18 @@ class ControllerPolicy:
         return self.controller.action(measurements)
 
 
-def _apply_case(env, case: TestCase) -> None:
-    if case.kind in (GRID_LOAD_PROFILE, GRID_STEADYSTATE):
-        env.set_load_schedule(case.payload)
-    else:
-        env.set_reference_schedule(case.payload)
-
-
 def rollout(env, policy, case: TestCase, seed: int) -> Trajectory:
     """One deterministic evaluation episode over a frozen test case, with
     the plant stepped through SecActionWrapper as in training."""
-    _apply_case(env, case)
+    plant = _CASE_PLANT[case.kind]
+    plant.set_schedule(env, case.payload)
     t_i, t_aw = policy.sec_params or (None, None)
     wrapped = SecActionWrapper(env, t_i, t_aw)
     obs = wrapped.reset(seed=seed)
     policy.reset()
     n = case.duration
-    kind = "grid" if case.kind.startswith("grid") else "motor"
-    d = 3 if kind == "grid" else 2
-    limit = env.params.v_lim if kind == "grid" else env.params.i_lim
+    ref_key, meas_key = plant.ref_key, plant.meas_key
+    d = len(env.measurements()["ref"])
     reference = np.empty((n, d))
     measured = np.empty((n, d))
     raws = np.empty((n, wrapped.action_dim))
@@ -112,12 +141,8 @@ def rollout(env, policy, case: TestCase, seed: int) -> Trajectory:
         u_raw = policy.act(obs, env.measurements())
         obs, _, terminal, info = wrapped.step(u_raw)
         raws[k] = u_raw
-        if kind == "grid":
-            reference[k] = info["v_ref"]
-            measured[k] = info["v_meas"]
-        else:
-            reference[k] = info["i_ref"]
-            measured[k] = info["i_meas"]
+        reference[k] = info[ref_key]
+        measured[k] = info[meas_key]
         applied[k] = info["applied_action"]
         if integ is not None:
             integ[k] = info["integrator_state"]
@@ -127,8 +152,8 @@ def rollout(env, policy, case: TestCase, seed: int) -> Trajectory:
                 "evaluation environment terminated; construct it with termination disabled"
             )
     return Trajectory(
-        kind=kind,
-        limit=limit,
+        kind=plant.name,
+        limit=getattr(env.params, plant.limit),
         reference=reference,
         measured=measured,
         raw_action=raws,
@@ -151,29 +176,32 @@ class ExperimentPlan:
     save_trajectories: bool = False
 
 
+def make_testcase(cfg: RunConfig, kind: str, seed: int, steps: int | None = None) -> TestCase:
+    """The frozen test case of `kind` and `seed` under `cfg`; `steps`
+    overrides the configured length of a transient profile."""
+    seg_len = cfg["experiment.segment_length"]
+    radius = cfg["env.motor.reference_radius"] * cfg["env.motor.i_lim"]
+    if kind == GRID_LOAD_PROFILE:
+        return gen_grid_testcase(seed, steps or cfg["experiment.grid_transient_steps"],
+                                 cfg["train.sampling_time"])
+    if kind == MOTOR_REFERENCE_PROFILE:
+        return gen_motor_profile(seed, steps or cfg["experiment.motor_profile_steps"],
+                                 seg_len, radius)
+    if kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
+        return gen_steadystate_testcase(kind, seed, cfg["experiment.segments"], seg_len, radius)
+    raise ConfigurationError(f"unknown test case kind {kind!r}")
+
+
 def make_plan(cfg: RunConfig, out_dir: str | Path) -> ExperimentPlan:
     env_kind = cfg["env.kind"]
     case_seed = cfg["experiment.testcase_seed"]
-    segments = cfg["experiment.segments"]
-    seg_len = cfg["experiment.segment_length"]
-    if env_kind == "grid":
-        cases = [
-            gen_grid_testcase(case_seed, cfg["experiment.grid_transient_steps"],
-                              cfg["train.sampling_time"]),
-            gen_steadystate_testcase("grid", case_seed + 1, segments, seg_len),
-        ]
-    else:
-        radius = cfg["env.motor.reference_radius"] * cfg["env.motor.i_lim"]
-        cases = [
-            gen_motor_profile(case_seed, cfg["experiment.motor_profile_steps"], seg_len, radius),
-            gen_steadystate_testcase("motor", case_seed + 1, segments, seg_len, radius),
-        ]
     return ExperimentPlan(
         env_kind=env_kind,
         variants=list(cfg["experiment.variants"]),
         seeds=list(cfg["experiment.seeds"]),
         out_dir=Path(out_dir),
-        cases=cases,
+        cases=[make_testcase(cfg, kind, case_seed + k)
+               for k, kind in enumerate(_plant(env_kind).cases)],
         workers=cfg["experiment.workers"],
         save_trajectories=cfg["experiment.save_trajectories"],
     )
@@ -181,23 +209,17 @@ def make_plan(cfg: RunConfig, out_dir: str | Path) -> ExperimentPlan:
 
 def build_training_env(cfg: RunConfig, variant: str, seed: int):
     """Plant + action wrapper matching the agent variant."""
-    env_kind = cfg["env.kind"]
-    gamma = cfg["agent.gamma"]
-    terminate = cfg["env.terminate_on_violation"]
-    if env_kind == "grid":
-        env = GridEnv(cfg.grid_params(), gamma=gamma, seed=seed, terminate_on_violation=terminate)
-    else:
-        env = MotorEnv(cfg.motor_params(), gamma=gamma, seed=seed, terminate_on_violation=terminate)
+    plant = _plant(cfg["env.kind"])
+    env = plant.env_cls(plant.params(cfg), gamma=cfg["agent.gamma"], seed=seed,
+                        terminate_on_violation=cfg["env.terminate_on_violation"])
     if variant == "sec-ddpg":
         return SecActionWrapper(env, cfg["sec.t_i"], cfg["sec.t_aw"], cfg.sec_reward_config())
     return SecActionWrapper(env)
 
 
 def build_eval_env(cfg: RunConfig, env_kind: str | None = None):
-    env_kind = env_kind or cfg["env.kind"]
-    if env_kind == "grid":
-        return GridEnv(cfg.grid_params(), gamma=0.0, seed=0, terminate_on_violation=False)
-    return MotorEnv(cfg.motor_params(), gamma=0.0, seed=0, terminate_on_violation=False)
+    plant = _plant(env_kind or cfg["env.kind"])
+    return plant.env_cls(plant.params(cfg), gamma=0.0, seed=0, terminate_on_violation=False)
 
 
 def eval_seed_for(case: TestCase, run_seed: int) -> int:
@@ -205,26 +227,39 @@ def eval_seed_for(case: TestCase, run_seed: int) -> int:
     return 1_000_003 * case.seed + run_seed
 
 
-def train_variant(cfg: RunConfig, variant: str, seed: int, out_dir: Path | None = None):
-    """Train one agent; returns (trainer result, wall seconds)."""
+def build_trainer(cfg: RunConfig, variant: str, seed: int, out_dir: Path) -> Trainer:
+    """A fresh trainer for one agent variant.  Its ``checkpoint_fn`` writes
+    the resumable snapshot ``<out_dir>/checkpoint.npz``; the trainer calls
+    it every ``train.checkpoint_every`` steps."""
     wrapped = build_training_env(cfg, variant, seed)
-    m = wrapped.env.action_dim
-    width = actor_output_width(m, use_sec=(variant == "sec-ddpg"))
-    agent_cfg = cfg.agent_config(wrapped.obs_dim, width)
-    settings = cfg.train_settings()
-    trainer = Trainer(wrapped, agent_cfg, settings, seed)
-    t0 = time.perf_counter()
-    result = trainer.run()
-    wall = time.perf_counter() - t0
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_learning_curve(out_dir / "learning_curve.csv", result.curve)
-        save_agent(out_dir / "agent.npz", result.agent, extra={
-            "variant": variant, "seed": seed, "env_kind": cfg["env.kind"],
-            "sec": {"t_i": cfg["sec.t_i"], "t_aw": cfg["sec.t_aw"]},
-        })
-        (out_dir / "events.json").write_text(json.dumps(result.events, indent=1))
-    return result, wall
+    path = out_dir / "checkpoint.npz"
+    config_echo = json.loads(cfg.to_json())
+
+    def checkpoint_fn(trainer):
+        save_trainer(path, trainer, config_echo=config_echo)
+        log.info("checkpoint written at step %d", trainer.step)
+
+    settings = cfg.train_settings(checkpoint_fn=checkpoint_fn)
+    # The wrapper's action width is the actor's: m plant channels, or 2m with SEC.
+    return Trainer(wrapped, cfg.agent_config(wrapped.obs_dim, wrapped.action_dim), settings, seed)
+
+
+def train_agent(trainer: Trainer, cfg: RunConfig, variant: str, out_dir: Path,
+                until_step: int | None = None) -> TrainResult:
+    """Run `trainer` and write the run's artifacts to `out_dir`:
+    ``agent.npz``, ``learning_curve.csv`` and ``events.json``.  A run that
+    raises (a fault or an interrupt) still leaves its ``events.json``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        result = trainer.run(until_step=until_step)
+    finally:
+        (out_dir / "events.json").write_text(json.dumps(trainer.events, indent=1))
+    save_agent(out_dir / "agent.npz", result.agent, extra={
+        "variant": variant, "seed": trainer.seed, "env_kind": cfg["env.kind"],
+        "sec": {"t_i": cfg["sec.t_i"], "t_aw": cfg["sec.t_aw"]},
+    })
+    write_learning_curve(out_dir / "learning_curve.csv", result.curve)
+    return result
 
 
 def write_learning_curve(path: Path, curve) -> None:
@@ -240,7 +275,7 @@ def evaluate_policy(cfg: RunConfig, policy, cases: list[TestCase], run_seed: int
     """Metric rows for one policy over the frozen cases."""
     rows = []
     for case in cases:
-        env = build_eval_env(cfg, "grid" if case.kind.startswith("grid") else "motor")
+        env = build_eval_env(cfg, _CASE_PLANT[case.kind].name)
         traj = rollout(env, policy, case, eval_seed_for(case, run_seed))
         if out_dir is not None and save_trajectories:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,35 +303,22 @@ def evaluate_policy(cfg: RunConfig, policy, cases: list[TestCase], run_seed: int
     return rows
 
 
-def _pi_policy(cfg: RunConfig, gains: CascadeGains | None):
-    if cfg["env.kind"] == "grid":
-        return ControllerPolicy(GridCascadePolicy(cfg.grid_params(), gains))
-    return ControllerPolicy(MotorPiPolicy(cfg.motor_params()))
-
-
-def _run_one(cfg_json: str, variant: str, seed: int, plan_dir: str,
-             cases_payload: list, pi_gains: dict | None, save_traj: bool) -> dict:
+def _run_one(cfg: RunConfig, variant: str, seed: int, run_dir: Path, cases: list[TestCase],
+             pi_gains: CascadeGains | None, save_traj: bool) -> dict:
     """One (variant, seed) run; importable top-level so it can be a worker."""
-    from ..config import RunConfig as RC
-
-    blob = json.loads(cfg_json)
-    cfg = RC(blob["values"])
-    cases = [TestCase(**{**c, "payload": np.asarray(c["payload"])}) for c in cases_payload]
-    run_dir = Path(plan_dir) / f"{variant}-seed{seed}"
     record: dict = {"variant": variant, "seed": seed}
     t0 = time.perf_counter()
     try:
         if variant in RL_VARIANTS:
-            result, wall = train_variant(cfg, variant, seed, out_dir=run_dir)
-            policy = AgentPolicy(
-                result.agent.actor, m=build_eval_env(cfg).action_dim,
-                t_i=cfg["sec.t_i"], t_aw=cfg["sec.t_aw"],
-            )
-            record["train_seconds"] = wall
+            trainer = build_trainer(cfg, variant, seed, run_dir)
+            t_train = time.perf_counter()
+            result = train_agent(trainer, cfg, variant, run_dir)
+            record["train_seconds"] = time.perf_counter() - t_train
             record["episodes"] = len(result.curve)
+            policy = AgentPolicy(result.agent.actor, m=trainer.env.m,
+                                 t_i=cfg["sec.t_i"], t_aw=cfg["sec.t_aw"])
         elif variant == "pi":
-            gains = CascadeGains(**pi_gains) if pi_gains else None
-            policy = _pi_policy(cfg, gains)
+            policy = ControllerPolicy(_plant(cfg["env.kind"]).pi(cfg, pi_gains))
         else:
             raise ConfigurationError(f"unknown variant {variant!r}")
         record["rows"] = evaluate_policy(
@@ -321,24 +343,17 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> dict:
 
     pi_gains = None
     if "pi" in plan.variants and plan.env_kind == "grid":
-        gains, tune_report = tune_grid_cascade(
+        pi_gains, tune_report = tune_grid_cascade(
             cfg.grid_params(), seed=cfg["experiment.pi_tune_seed"],
             steps=cfg["experiment.pi_tune_steps"],
         )
-        pi_gains = gains.as_dict()
         (plan.out_dir / "pi_tuning.json").write_text(json.dumps(
-            {"best": pi_gains, "best_score": tune_report["best_score"],
+            {"best": pi_gains.as_dict(), "best_score": tune_report["best_score"],
              "trials": len(tune_report["trials"])}, indent=1))
 
-    cases_payload = [
-        {"kind": c.kind, "seed": c.seed, "duration": c.duration,
-         "segment_length": c.segment_length, "payload": c.payload.tolist()}
-        for c in plan.cases
-    ]
-    cfg_json = cfg.to_json()
     # Seed-major order: interrupting a long batch still leaves balanced
     # variant coverage for every completed seed.
-    jobs = [(cfg_json, variant, seed, str(plan.out_dir), cases_payload, pi_gains,
+    jobs = [(cfg, variant, seed, plan.out_dir / f"{variant}-seed{seed}", plan.cases, pi_gains,
              plan.save_trajectories)
             for seed in plan.seeds for variant in plan.variants]
     records = []
@@ -363,15 +378,19 @@ def _finished_runs(jobs: list[tuple], workers: int):
             yield future.result()
 
 
-def _write_reports(plan: ExperimentPlan, records: list[dict]) -> dict:
-    report_path = plan.out_dir / "report.csv"
-    with open(report_path, "w", newline="") as fh:
+def write_report(path: Path, records: list[dict]) -> None:
+    """``report.csv``: the metric rows of each (variant, seed) record."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "test_case_id", "metric_name", "value"])
         for rec in sorted(records, key=lambda r: (r["variant"], r["seed"])):
             for row in rec["rows"]:
                 writer.writerow([rec["variant"], rec["seed"],
                                  row["test_case_id"], row["metric_name"], row["value"]])
+
+
+def _write_reports(plan: ExperimentPlan, records: list[dict]) -> dict:
+    write_report(plan.out_dir / "report.csv", records)
 
     # Aggregate box statistics per (variant, headline metric).
     summary: dict = {"env_kind": plan.env_kind, "runs": [], "metrics": {}}

@@ -24,7 +24,7 @@ MOTOR_REFERENCE_PROFILE = "motor-reference-profile"
 GRID_STEADYSTATE = "grid-steadystate"
 MOTOR_STEADYSTATE = "motor-steadystate"
 
-_KINDS = (GRID_LOAD_PROFILE, MOTOR_REFERENCE_PROFILE, GRID_STEADYSTATE, MOTOR_STEADYSTATE)
+KINDS = (GRID_LOAD_PROFILE, MOTOR_REFERENCE_PROFILE, GRID_STEADYSTATE, MOTOR_STEADYSTATE)
 
 
 @dataclass
@@ -38,7 +38,7 @@ class TestCase:
     payload: np.ndarray        # (duration,) loads or (duration, 2) references
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ConfigurationError(f"unknown test case kind {self.kind!r}")
         if len(self.payload) != self.duration:
             raise ConfigurationError("payload length must equal duration")

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 import yaml
 
-from secrl.checkpoint import load_agent, load_trainer_into, save_trainer
+from secrl import TrainingFault
+from secrl.checkpoint import load_agent, load_config_echo, load_trainer_into, save_trainer
 from secrl.cli import main
+from secrl.config import parse_config, parse_override_strings
+from secrl.evaluation.experiment import make_plan
 from secrl.evaluation.testcases import TestCase
 
 FAST_TRAIN = [
@@ -236,3 +239,71 @@ def test_corrupt_agent_checkpoint_exits_with_configuration_error(
     err = _error_record(capsys)
     assert err["error"] == "configuration"
     assert message in err["message"]
+
+
+@pytest.mark.parametrize("variant", ["ddpg", "sec-ddpg"])
+def test_compare_run_equals_train_run(tmp_path, variant):
+    common = ["--override", "env.kind=motor", *FAST_TRAIN]
+    assert main(["compare", "--out", str(tmp_path / "cmp"), *common,
+                 "--override", f"experiment.variants={variant}",
+                 "--override", "experiment.seeds=4",
+                 "--override", "experiment.motor_profile_steps=1000",
+                 "--override", "experiment.segments=2"]) == 0
+    assert main(["train", "--out", str(tmp_path / "train"), "--seed", "4", *common,
+                 "--override", f"agent.variant={variant}"]) == 0
+    run_dir, train_dir = tmp_path / "cmp" / f"{variant}-seed4", tmp_path / "train"
+    # The same artifacts, except the final snapshot (and the config echo).
+    assert {p.name for p in run_dir.iterdir()} == {
+        "agent.npz", "learning_curve.csv", "events.json"}
+    assert {p.name for p in train_dir.iterdir()} == {
+        "agent.npz", "learning_curve.csv", "events.json",
+        "checkpoint.npz", "effective_config.yaml"}
+    with np.load(run_dir / "agent.npz") as a, np.load(train_dir / "agent.npz") as b:
+        assert sorted(a.files) == sorted(b.files)
+        for key in a.files:
+            assert a[key].tobytes() == b[key].tobytes(), key
+    for name in ("learning_curve.csv", "events.json"):
+        assert (run_dir / name).read_bytes() == (train_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("plant", ["grid", "motor"])
+def test_gen_testcase_equals_compare_cases(tmp_path, capsys, plant):
+    pairs = [f"env.kind={plant}", "experiment.testcase_seed=31", "experiment.segments=3",
+             "experiment.grid_transient_steps=1200", "experiment.motor_profile_steps=1500"]
+    overrides = [arg for pair in pairs for arg in ("--override", pair)]
+    plan = make_plan(parse_config(None, parse_override_strings(pairs)), tmp_path)
+    assert len(plan.cases) == 2
+    for k, case in enumerate(plan.cases):
+        capsys.readouterr()
+        assert main(["gen-testcase", "--kind", case.kind, "--seed", str(31 + k),
+                     "--out", str(tmp_path / "cases"), *overrides]) == 0
+        made = TestCase.load(capsys.readouterr().out.strip())
+        assert (made.kind, made.seed, made.duration, made.segment_length) == \
+               (case.kind, case.seed, case.duration, case.segment_length)
+        assert made.payload.dtype == case.payload.dtype
+        assert made.payload.tobytes() == case.payload.tobytes()
+
+
+@pytest.mark.parametrize("stop, rc", [(TrainingFault("injected critic fault"), 3),
+                                      (KeyboardInterrupt(), 130)])
+def test_stopped_train_keeps_event_log(tmp_path, capsys, monkeypatch, stop, rc):
+    def stopping_update(agent, batch, lr):
+        raise stop
+
+    # `secrl.ddpg.train` as an attribute is the re-exported function.
+    monkeypatch.setattr(sys.modules["secrl.ddpg.train"], "critic_update", stopping_update)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--out", str(out), "--override", "env.kind=motor", *FAST_TRAIN]) == rc
+    events = json.loads((out / "events.json").read_text())
+    record = _error_record(capsys)
+    assert not (out / "agent.npz").exists()
+    if rc == 3:
+        assert [e["kind"] for e in events] == ["training_fault"]
+        assert record == {"error": "TrainingFault", "message": "injected critic fault"}
+        assert not (out / "checkpoint.npz").exists()
+    else:
+        # Interrupted in the first update (batch 16, every 2nd step).
+        assert events == []
+        assert record == {"interrupted_at_step": 16, "resume_from": str(out / "checkpoint.npz")}
+        assert load_config_echo(out / "checkpoint.npz")["values"]["env.kind"] == "motor"

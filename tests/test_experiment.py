@@ -1,10 +1,13 @@
 """Experiment orchestration: rollouts, zero-step runs, report cardinality."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from secrl import TrainingFault
+from secrl.checkpoint import load_agent, load_trainer_into
 from secrl.config import parse_config
 from secrl.evaluation import experiment
 from secrl.evaluation.experiment import (
@@ -189,3 +192,44 @@ class TestRunExperiment:
         assert summary["runs"][0]["status"] == "failed"
         assert "error" in summary["runs"][0]
         assert (tmp_path / "report.csv").exists()
+
+
+class TestCompareRunArtifacts:
+    TRAIN = {"train.steps": 120, "train.episode_steps": 60, "agent.batch_size": 16}
+
+    def test_periodic_checkpoint_in_every_run_directory(self, tmp_path):
+        cfg = motor_cfg(**self.TRAIN, **{
+            "train.checkpoint_every": 60,
+            "experiment.variants": ["ddpg", "sec-ddpg"],
+            "experiment.seeds": [2],
+        })
+        summary = run_experiment(cfg, tmp_path)
+        assert [r["status"] for r in summary["runs"]] == ["ok", "ok"]
+        for variant in ("ddpg", "sec-ddpg"):
+            run_dir = tmp_path / f"{variant}-seed2"
+            assert (run_dir / "checkpoint.npz").is_file()
+            trainer = experiment.build_trainer(cfg, variant, 2, tmp_path / "fresh")
+            load_trainer_into(run_dir / "checkpoint.npz", trainer)
+            assert trainer.step == 120
+            agent, _ = load_agent(run_dir / "agent.npz")
+            assert np.array_equal(trainer.agent.actor.flat(), agent.actor.flat())
+        assert not (tmp_path / "fresh").exists()
+
+    def test_failed_training_run_keeps_its_event_log(self, tmp_path, monkeypatch):
+        # `secrl.ddpg.train` as an attribute is the re-exported function.
+        train_module = sys.modules["secrl.ddpg.train"]
+
+        def failing_update(agent, batch, lr):
+            raise TrainingFault("injected critic fault")
+
+        monkeypatch.setattr(train_module, "critic_update", failing_update)
+        cfg = motor_cfg(**self.TRAIN, **{
+            "experiment.variants": ["sec-ddpg"], "experiment.seeds": [1],
+        })
+        summary = run_experiment(cfg, tmp_path)
+        assert summary["runs"][0]["status"] == "failed"
+        assert "injected critic fault" in summary["runs"][0]["error"]
+        events = json.loads((tmp_path / "sec-ddpg-seed1" / "events.json").read_text())
+        assert [e["kind"] for e in events] == ["training_fault"]
+        assert events[0]["detail"] == "injected critic fault"
+        assert not (tmp_path / "sec-ddpg-seed1" / "agent.npz").exists()
