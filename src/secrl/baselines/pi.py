@@ -40,6 +40,8 @@ class PiController:
             k_aw = np.atleast_1d(np.asarray(k_aw, dtype=np.float64))
             self._k_aw_is_rate = False
         self.k_aw = k_aw
+        # The per-step anti-windup gain and the dt it was computed for.
+        self._aw, self._aw_dt = k_aw, None
         self.acc = np.zeros_like(self.kp)
 
     def reset(self) -> None:
@@ -48,11 +50,14 @@ class PiController:
     def step(self, error, dt: float, feedforward=0.0):
         if dt <= 0:
             raise ConfigurationError(f"dt must be > 0, got {dt}")
-        e = np.atleast_1d(np.asarray(error, dtype=np.float64))
+        e = np.asarray(error, dtype=np.float64)
+        if e.ndim == 0:  # np.atleast_1d, without its Python wrapper
+            e = e.reshape(1)
         u_unclipped = self.kp * e + self.acc + feedforward
         u = np.minimum(np.maximum(u_unclipped, self.lo), self.hi)
-        aw = self.k_aw * dt if self._k_aw_is_rate else self.k_aw
-        self.acc = self.acc + self.ki * e * dt + aw * (u - u_unclipped)
+        if self._k_aw_is_rate and dt != self._aw_dt:
+            self._aw, self._aw_dt = self.k_aw * dt, dt
+        self.acc = self.acc + self.ki * e * dt + self._aw * (u - u_unclipped)
         return u
 
 

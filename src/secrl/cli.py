@@ -100,12 +100,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, seed, out_dir = _load_config(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.echo(out_dir / "effective_config.yaml")
     agent, extra = load_agent(args.checkpoint)
     env_kind = extra.get("env_kind", cfg["env.kind"])
     if env_kind != cfg["env.kind"]:
         log.warning("checkpoint env %s overrides config env %s", env_kind, cfg["env.kind"])
         cfg.values["env.kind"] = env_kind
+    # Echoed after the override, so the file names the plant that was scored.
+    cfg.echo(out_dir / "effective_config.yaml")
     env = build_eval_env(cfg, env_kind)
     if agent.actor.layer_sizes[0] != env.obs_dim:
         raise ConfigurationError(

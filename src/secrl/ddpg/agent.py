@@ -110,7 +110,7 @@ def critic_update(agent: DdpgAgent, batch, lr: float) -> float:
         raise TrainingFault(f"critic loss non-finite ({loss}); resid range "
                             f"[{np.nanmin(resid)}, {np.nanmax(resid)}]")
     cot = (2.0 / len(resid)) * resid[:, None]
-    grads, _ = mlp_backward(agent.critic, cache, cot)
+    grads, _ = mlp_backward(agent.critic, cache, cot, input_grad=False)
     optimizer_step(agent.critic_opt, agent.critic, grads, lr)
     return loss
 
@@ -131,6 +131,6 @@ def actor_update(agent: DdpgAgent, batch, lr: float) -> float:
     x_cot = input_cotangent(agent.critic, critic_cache, np.full((n, 1), 1.0 / n))
     dq_du = x_cot[:, agent.config.obs_dim:]
     # Optimizers minimize, so feed the negated fitness gradient.
-    grads, _ = mlp_backward(agent.actor, actor_cache, -dq_du)
+    grads, _ = mlp_backward(agent.actor, actor_cache, -dq_du, input_grad=False)
     optimizer_step(agent.actor_opt, agent.actor, grads, lr)
     return fitness

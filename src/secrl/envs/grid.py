@@ -27,6 +27,8 @@ LOAD_DIFFUSION_RANGE = (1.0, 150.0)
 DRIFT_STEPS_RANGE = (10, 1000)
 # Schedule entries whose propagators are built in one stacked call.
 SCHEDULE_BLOCK = 256
+# State columns of a measurement [v_dq0, i_dq0]; the state is [i_dq0, v_dq0].
+_MEASURED_ORDER = np.array([3, 4, 5, 0, 1, 2])
 
 
 @dataclass
@@ -80,8 +82,10 @@ def grid_task_reward(
 
     A float for one measurement (3,); for a stack (k, 3), the k rewards,
     each bit-equal to that row's float."""
-    ratio = np.minimum(np.abs(np.asarray(v_ref) - np.asarray(v_meas)) / v_lim, 1.0)
-    reward = -(1.0 - gamma) / 3.0 * np.sum(np.sqrt(ratio), axis=-1)
+    ratio = np.abs(np.subtract(v_ref, v_meas))
+    ratio /= v_lim
+    np.minimum(ratio, 1.0, out=ratio)
+    reward = -(1.0 - gamma) / 3.0 * np.sqrt(ratio, out=ratio).sum(axis=-1)
     return float(reward) if reward.ndim == 0 else reward
 
 
@@ -197,8 +201,24 @@ class GridEnv:
         # Per-step constants; v_ref is shared by every info/measurements dict.
         self._v_ref = self.params.v_ref
         self._v_ref.setflags(write=False)
-        self._v_ref_feature = self._v_ref / self.params.v_lim
         self._half_bus = self.params.v_dc / 2.0
+        p = self.params
+        # |x| limits in state order [i_dq0, v_dq0], for the violation flag.
+        self._limits = np.array([p.i_lim] * 3 + [p.v_lim] * 3)
+        # Measurement noise, one draw per step: voltages first, then
+        # currents, each only when its level is > 0.  _noise_at is the
+        # noisy part of a measurement [v_dq0, i_dq0].
+        self._noise_scale = np.repeat([level for level in (p.noise_v, p.noise_i) if level > 0], 3)
+        self._noise_at = slice(0 if p.noise_v > 0 else 3, 6 if p.noise_i > 0 else 3)
+        # Observation = numerator / scale, one division per step; blocks:
+        # i, v, v_ref, error, raw_p, raw_i, voltage history.  The scale is
+        # 1.0 where a block is not normalized (v_ref is stored normalized).
+        self._obs_scale = np.array([p.i_lim] * 3 + [p.v_lim] * 3 + [1.0] * 3 + [p.v_lim] * 3
+                                   + [1.0] * 6 + [p.v_lim] * 3 * p.history_length)
+        self._obs_num = np.empty(self.obs_dim)
+        self._obs_num[6:9] = self._v_ref / p.v_lim
+        self._no_raw = np.zeros(3)
+        self._no_raw.setflags(write=False)
         self._load_schedule: np.ndarray | None = None
         self._block: tuple[int, np.ndarray, LtiStepper] | None = None
         self._seed = int(seed)
@@ -268,34 +288,30 @@ class GridEnv:
             float(self._load_schedule[0]) if self._load_schedule is not None else self._load.value
         )
         v_meas, i_meas = self._measure()
-        obs = self._features(v_meas, i_meas, np.zeros(3), np.zeros(3))
+        obs = self._features(v_meas, i_meas, self._no_raw, self._no_raw)
         self._hist.push(v_meas)
         self._last_meas = (v_meas, i_meas)
         return obs
 
     def _measure(self) -> tuple[np.ndarray, np.ndarray]:
         # One noise draw per step, shared by every row of a lockstep state.
-        p = self.params
-        v = self._x[..., 3:6].copy()
-        i = self._x[..., 0:3].copy()
-        if p.noise_v > 0:
-            v += p.noise_v * self._rng_noise.standard_normal(3)
-        if p.noise_i > 0:
-            i += p.noise_i * self._rng_noise.standard_normal(3)
-        return v, i
+        meas = self._x.take(_MEASURED_ORDER, axis=-1)
+        if self._noise_scale.size:
+            meas[..., self._noise_at] += (
+                self._noise_scale * self._rng_noise.standard_normal(self._noise_scale.size))
+        return meas[..., :3], meas[..., 3:]
 
     def _features(self, v_meas, i_meas, raw_p, raw_i) -> np.ndarray:
-        p = self.params
-        err = 0.5 * (self._v_ref - v_meas)
-        return np.concatenate([
-            i_meas / p.i_lim,
-            v_meas / p.v_lim,
-            self._v_ref_feature,
-            err / p.v_lim,
-            raw_p,
-            raw_i,
-            self._hist.flat() / p.v_lim,
-        ])
+        num = self._obs_num
+        num[0:3] = i_meas
+        num[3:6] = v_meas
+        err = num[9:12]
+        np.subtract(self._v_ref, v_meas, out=err)
+        err *= 0.5
+        num[12:15] = raw_p
+        num[15:18] = raw_i
+        num[18:] = self._hist.flat()
+        return num / self._obs_scale
 
     def lockstep(self, k: int) -> None:
         """Run the freshly reset episode as k copies of the plant in lockstep.
@@ -325,9 +341,10 @@ class GridEnv:
         if u.shape != self._pending_u.shape:
             raise ConfigurationError(
                 f"grid action must have shape {self._pending_u.shape}, got {u.shape}")
-        if np.any(np.abs(u) > 1.0 + 1e-9):
+        if (np.abs(u) > 1.0 + 1e-9).any():
             raise ConfigurationError(f"action outside [-1, 1]: {u}")
-        u = np.clip(u, -1.0, 1.0)
+        # np.clip to [-1, 1], without its Python wrapper; a new array.
+        u = np.minimum(np.maximum(u, -1.0), 1.0)
         p = self.params
         # Dead time: the voltage applied this period is last step's command.
         v_inverter = self._pending_u * self._half_bus
@@ -345,8 +362,7 @@ class GridEnv:
             raise EnvironmentFault("grid plant state became non-finite")
         v_meas, i_meas = self._measure()
         reward = grid_task_reward(self._v_ref, v_meas, p.v_lim, self.gamma)
-        violation = ((np.abs(self._x[..., 3:6]) > p.v_lim).any(axis=-1)
-                     | (np.abs(self._x[..., 0:3]) > p.i_lim).any(axis=-1))
+        violation = (np.abs(self._x) > self._limits).any(axis=-1)
         self._pending_u = u
         self._step_in_episode += 1
         self._last_meas = (v_meas, i_meas)
@@ -359,9 +375,8 @@ class GridEnv:
         violation = bool(violation)
         terminal = violation and self.terminate_on_violation
         self._terminal = terminal
-        rp = np.zeros(3) if raw_p is None else np.asarray(raw_p, dtype=np.float64)
-        ri = np.zeros(3) if raw_i is None else np.asarray(raw_i, dtype=np.float64)
-        obs = self._features(v_meas, i_meas, rp, ri)
+        obs = self._features(v_meas, i_meas, self._no_raw if raw_p is None else raw_p,
+                             self._no_raw if raw_i is None else raw_i)
         self._hist.push(v_meas)
         info = {
             "task_reward": reward,

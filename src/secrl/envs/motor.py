@@ -50,8 +50,10 @@ class MotorParams:
 
 def motor_task_reward(i_ref: np.ndarray, i_meas: np.ndarray, i_lim: float, gamma: float) -> float:
     """Mean root error over dq; error ratios saturate at 1 (see grid)."""
-    ratio = np.minimum(np.abs(np.asarray(i_ref) - np.asarray(i_meas)) / i_lim, 1.0)
-    return float(-(1.0 - gamma) / 2.0 * np.sum(np.sqrt(ratio)))
+    ratio = np.abs(np.subtract(i_ref, i_meas))
+    ratio /= i_lim
+    np.minimum(ratio, 1.0, out=ratio)
+    return float(-(1.0 - gamma) / 2.0 * np.sqrt(ratio, out=ratio).sum())
 
 
 class ReferenceGenerator:
@@ -98,6 +100,12 @@ class MotorEnv:
         c = np.array([0.0, -p.omega_el * p.psi_pm / p.l_q])
         self._stepper = LtiStepper(a, b, c, p.dt, p.substeps)
         self._refgen = ReferenceGenerator(p.i_lim, p.reference_radius, p.reference_hold_prob)
+        # Observation = numerator / scale, one division per step; blocks:
+        # i, i_ref, error, raw_p, raw_i, current history (raw blocks: 1.0).
+        self._obs_scale = np.array([p.i_lim] * 6 + [1.0] * 4 + [p.i_lim] * 2 * p.history_length)
+        self._obs_num = np.empty(self.obs_dim)
+        self._no_raw = np.zeros(2)
+        self._no_raw.setflags(write=False)
         self._ref_schedule: np.ndarray | None = None
         self._seed = int(seed)
         self._rng_env = derive_rng(self._seed, STREAM_ENV)
@@ -124,21 +132,21 @@ class MotorEnv:
             self.i_ref = self._ref_schedule[0].copy()
         else:
             self.i_ref = self._refgen.draw(self._rng_env)
-        obs = self._features(self._x.copy(), np.zeros(2), np.zeros(2))
+        obs = self._features(self._x.copy(), self._no_raw, self._no_raw)
         self._hist.push(self._x)
         return obs
 
     def _features(self, i_meas, raw_p, raw_i) -> np.ndarray:
-        p = self.params
-        err = 0.5 * (self.i_ref - i_meas)
-        return np.concatenate([
-            i_meas / p.i_lim,
-            self.i_ref / p.i_lim,
-            err / p.i_lim,
-            raw_p,
-            raw_i,
-            self._hist.flat() / p.i_lim,
-        ])
+        num = self._obs_num
+        num[0:2] = i_meas
+        num[2:4] = self.i_ref
+        err = num[4:6]
+        np.subtract(self.i_ref, i_meas, out=err)
+        err *= 0.5
+        num[6:8] = raw_p
+        num[8:10] = raw_i
+        num[10:] = self._hist.flat()
+        return num / self._obs_scale
 
     def step(self, u: np.ndarray, raw_p: np.ndarray | None = None, raw_i: np.ndarray | None = None):
         if self._terminal:
@@ -146,9 +154,10 @@ class MotorEnv:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (2,):
             raise ConfigurationError(f"motor action must have shape (2,), got {u.shape}")
-        if np.any(np.abs(u) > 1.0 + 1e-9):
+        if (np.abs(u) > 1.0 + 1e-9).any():
             raise ConfigurationError(f"action outside [-1, 1]: {u}")
-        u = np.clip(u, -1.0, 1.0)
+        # np.clip to [-1, 1], without its Python wrapper; a new array.
+        u = np.minimum(np.maximum(u, -1.0), 1.0)
         p = self.params
         if self._ref_schedule is not None:
             if self._step_in_episode >= len(self._ref_schedule):
@@ -162,14 +171,13 @@ class MotorEnv:
             raise EnvironmentFault("motor plant state became non-finite")
         i_meas = self._x.copy()
         reward = motor_task_reward(self.i_ref, i_meas, p.i_lim, self.gamma)
-        violation = bool(np.any(np.abs(self._x) > p.i_lim))
+        violation = bool((np.abs(self._x) > p.i_lim).any())
         terminal = violation and self.terminate_on_violation
         self._terminal = terminal
-        rp = np.zeros(2) if raw_p is None else np.asarray(raw_p, dtype=np.float64)
-        ri = np.zeros(2) if raw_i is None else np.asarray(raw_i, dtype=np.float64)
-        obs = self._features(i_meas, rp, ri)
+        obs = self._features(i_meas, self._no_raw if raw_p is None else raw_p,
+                             self._no_raw if raw_i is None else raw_i)
         self._hist.push(i_meas)
-        self._pending_u = u.copy()
+        self._pending_u = u
         self._step_in_episode += 1
         info = {
             "task_reward": reward,

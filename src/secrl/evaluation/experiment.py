@@ -101,7 +101,8 @@ class AgentPolicy:
 
     def act(self, obs, measurements) -> np.ndarray:
         raw, _ = mlp_forward(self.actor, obs)
-        return np.clip(raw, -1.0, 1.0)
+        # np.clip to [-1, 1], without its Python wrapper.
+        return np.minimum(np.maximum(raw, -1.0), 1.0)
 
 
 class ControllerPolicy:
@@ -178,17 +179,25 @@ class ExperimentPlan:
 
 def make_testcase(cfg: RunConfig, kind: str, seed: int, steps: int | None = None) -> TestCase:
     """The frozen test case of `kind` and `seed` under `cfg`; `steps`
-    overrides the configured length of a transient profile."""
+    (>= 1) overrides the configured length of a transient profile.  A
+    steady-state case's length is set by its segments, so it refuses
+    `steps`."""
     seg_len = cfg["experiment.segment_length"]
     radius = cfg["env.motor.reference_radius"] * cfg["env.motor.i_lim"]
+    if kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
+        if steps is not None:
+            raise ConfigurationError(
+                f"steps applies to transient profiles only; the length of {kind} is "
+                "experiment.segments x experiment.segment_length")
+        return gen_steadystate_testcase(kind, seed, cfg["experiment.segments"], seg_len, radius)
+    if steps is not None and steps < 1:
+        raise ConfigurationError(f"test case steps must be >= 1, got {steps}")
     if kind == GRID_LOAD_PROFILE:
         return gen_grid_testcase(seed, steps or cfg["experiment.grid_transient_steps"],
                                  cfg["train.sampling_time"])
     if kind == MOTOR_REFERENCE_PROFILE:
         return gen_motor_profile(seed, steps or cfg["experiment.motor_profile_steps"],
                                  seg_len, radius)
-    if kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
-        return gen_steadystate_testcase(kind, seed, cfg["experiment.segments"], seg_len, radius)
     raise ConfigurationError(f"unknown test case kind {kind!r}")
 
 

@@ -96,8 +96,8 @@ class MlpParams:
         return self.data.copy()
 
     def validate(self) -> None:
-        if self.beta <= 0:
-            raise ConfigurationError(f"hidden slope beta must be > 0, got {self.beta}")
+        if not 0 < self.beta <= 1:
+            raise ConfigurationError(f"hidden slope beta must be in (0, 1], got {self.beta}")
         if self.output_activation not in _OUTPUT_ACTIVATIONS:
             raise ConfigurationError(f"unknown output activation {self.output_activation!r}")
         if not np.isfinite(self.data).all():
@@ -150,8 +150,8 @@ def mlp_init(
         raise ConfigurationError(
             f"scale factors must be > 0, got weight {weight_scale}, bias {bias_scale}"
         )
-    if beta <= 0:
-        raise ConfigurationError(f"hidden slope beta must be > 0, got {beta}")
+    if not 0 < beta <= 1:
+        raise ConfigurationError(f"hidden slope beta must be in (0, 1], got {beta}")
     params = MlpParams(layer_sizes, None, None, float(beta), output_activation)
     for w, b in zip(params.weights, params.biases):
         bound = 1.0 / np.sqrt(w.shape[1])
@@ -161,14 +161,11 @@ def mlp_init(
     return params
 
 
-def _leaky(z: np.ndarray, beta: float) -> np.ndarray:
-    return np.maximum(beta * z, z)
-
-
 def _leaky_slope(z: np.ndarray, beta: float) -> np.ndarray:
+    # 1 where z > 0, else beta: the mask's 1/0 against beta, as beta <= 1.
     # Derivative at exactly 0 is beta (kink convention, kept consistent
     # with the finite-difference tests which avoid the kink).
-    return np.where(z > 0.0, 1.0, beta)
+    return np.maximum(z > 0.0, beta)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -186,10 +183,13 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
     last = len(params.weights) - 1
     for j, (w, b) in enumerate(zip(params.weights, params.biases)):
         cache.inputs.append(h)
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         cache.pre_acts.append(z)
         if j < last:
-            h = _leaky(z, params.beta)
+            # Leaky rectifier max(beta*z, z), into the new beta*z array.
+            h = params.beta * z
+            np.maximum(h, z, out=h)
         elif params.output_activation == TANH:
             h = np.tanh(z)
         else:
@@ -201,14 +201,16 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
 
 def mlp_backward(
     params: MlpParams, cache: ForwardCache, output_cotangent: np.ndarray,
-    param_grads: bool = True,
-) -> tuple[ParamGrads | None, np.ndarray]:
+    param_grads: bool = True, input_grad: bool = True,
+) -> tuple[ParamGrads | None, np.ndarray | None]:
     """Exact reverse-mode gradients for a cached forward pass.
 
     Returns (parameter gradients, cotangent w.r.t. the network input).
     Batched cotangents are summed into the parameter gradients, matching
     d(sum of per-sample scalars)/d(params).  With ``param_grads=False`` the
-    dW/db products are skipped and None stands in for the gradients.
+    dW/db products are skipped and None stands in for the gradients; with
+    ``input_grad=False`` the first layer's input-cotangent product is
+    skipped and None stands in for the input cotangent.
     """
     g = np.asarray(output_cotangent, dtype=DTYPE)
     squeeze = g.ndim == 1
@@ -225,9 +227,11 @@ def mlp_backward(
         if grads is not None:
             np.matmul(delta.T, cache.inputs[j], out=grads.d_weights[j])
             np.sum(delta, axis=0, out=grads.d_biases[j])
+        if j == 0 and not input_grad:
+            return grads, None
         delta = delta @ params.weights[j]
         if j > 0:
-            delta = delta * _leaky_slope(cache.pre_acts[j - 1], params.beta)
+            delta *= _leaky_slope(cache.pre_acts[j - 1], params.beta)
     x_cot = delta[0] if squeeze else delta
     return grads, x_cot
 

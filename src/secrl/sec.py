@@ -62,9 +62,10 @@ def sec_apply(u_raw: np.ndarray, state: SecState) -> tuple[np.ndarray, SecState]
     u_p, u_i = u_raw[:m], u_raw[m:]
     zeta = state.zeta + state.t_i * u_i
     u_unclipped = u_p + zeta
-    u = np.clip(u_unclipped, -1.0, 1.0)
+    # np.clip to [-1, 1], without its Python wrapper.
+    u = np.minimum(np.maximum(u_unclipped, -1.0), 1.0)
     # Back-calculation only affects channels that actually clipped.
-    zeta = zeta + state.t_aw * (u - u_unclipped)
+    zeta += state.t_aw * (u - u_unclipped)
     return u, SecState(zeta=zeta, t_i=state.t_i, t_aw=state.t_aw)
 
 

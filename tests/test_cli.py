@@ -307,3 +307,36 @@ def test_stopped_train_keeps_event_log(tmp_path, capsys, monkeypatch, stop, rc):
         assert events == []
         assert record == {"interrupted_at_step": 16, "resume_from": str(out / "checkpoint.npz")}
         assert load_config_echo(out / "checkpoint.npz")["values"]["env.kind"] == "motor"
+
+
+def test_eval_echo_names_the_checkpoint_plant(tmp_path, capsys):
+    # The config says grid (the default); the checkpoint's motor plant wins,
+    # and the echo must name the plant that was scored.
+    out = tmp_path / "run"
+    assert main(["train", "--seed", "5", "--out", str(out), "--override", "env.kind=motor",
+                 *FAST_TRAIN, "--override", "train.steps=0"]) == 0
+    assert main(["gen-testcase", "--kind", "motor-reference-profile", "--seed", "8",
+                 "--steps", "1000", "--out", str(tmp_path / "cases")]) == 0
+    capsys.readouterr()
+    case_path = str(tmp_path / "cases" / "testcase-motor-reference-profile-seed8.npz")
+    assert TestCase.load(case_path).duration == 1000
+    evalout = tmp_path / "evalout"
+    assert main(["eval", "--checkpoint", str(out / "agent.npz"), "--testcase", case_path,
+                 "--seed", "5", "--out", str(evalout)]) == 0
+    echo = yaml.safe_load((evalout / "effective_config.yaml").read_text())
+    assert echo["env.kind"] == "motor"
+    assert (evalout / "report.csv").exists()
+
+
+@pytest.mark.parametrize("kind, steps", [("grid-steadystate", "5000"),
+                                         ("motor-steadystate", "100"),
+                                         ("grid-load-profile", "0"),
+                                         ("grid-load-profile", "-3"),
+                                         ("motor-reference-profile", "0")])
+def test_gen_testcase_refuses_misread_steps(tmp_path, capsys, kind, steps):
+    out = tmp_path / "cases"
+    assert main(["gen-testcase", "--kind", kind, "--steps", steps, "--out", str(out),
+                 "--override", "experiment.segments=3"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "configuration" and "steps" in record["message"]
+    assert not list(out.glob("*.npz"))
