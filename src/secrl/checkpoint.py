@@ -235,11 +235,20 @@ def load_config_echo(path: str | Path) -> dict:
         return meta["config_echo"]
 
 
+def _unpack_buffer(scalars: dict, data, buffer) -> None:
+    """Read the stored replay rows straight into ``buffer``'s ring and
+    restore its position; a member of another shape, an impossible count
+    or cursor, or a non-finite row raises ConfigurationError."""
+    count = scalars["count"]
+    for key, view in buffer.rows(count).items():
+        _read_into(data, f"buf_{key}", view)
+    buffer.restore(count, scalars["cursor"])
+
+
 def load_trainer_into(path: str | Path, trainer) -> None:
     """Restore a snapshot into a Trainer built from the identical config."""
     with _reading(path, "trainer") as (meta, data):
         _unpack_agent(meta, data, trainer.agent)
+        _unpack_buffer(meta["buffer_scalars"], data, trainer.buffer)
         state = _unjsonable(meta["trainer_state"])
-        state["buffer"] = {k: data[f"buf_{k}"] for k in ("obs", "act", "rew", "next", "term")}
-        state["buffer"].update(meta["buffer_scalars"])
     trainer.load_state_dict(state)

@@ -78,7 +78,7 @@ class DdpgAgent:
         self.critic_opt: OptimizerState = make_optimizer(config.optimizer, self.critic)
 
     def act(self, obs: np.ndarray) -> np.ndarray:
-        out, _ = mlp_forward(self.actor, obs)
+        out, _ = mlp_forward(self.actor, obs, cache=False)
         return out
 
 

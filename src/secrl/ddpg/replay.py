@@ -100,26 +100,38 @@ class ReplayBuffer:
             self._term[idx],
         )
 
+    def rows(self, count: int) -> dict[str, np.ndarray]:
+        """Views of the first `count` rows of every ring member, keyed as
+        in state_dict; a count the ring cannot hold raises
+        ConfigurationError."""
+        if not isinstance(count, int) or not 0 <= count <= self.capacity:
+            raise ConfigurationError(f"replay count {count!r} outside [0, {self.capacity}]")
+        return {
+            "obs": self._obs[:count],
+            "act": self._act[:count],
+            "rew": self._rew[:count],
+            "next": self._next[:count],
+            "term": self._term[:count],
+        }
+
     def state_dict(self) -> dict:
         """The filled rows as views into the ring, not copies: they stay
         valid only until the next push, so write or copy them first."""
-        n = self._count
-        return {
-            "obs": self._obs[:n],
-            "act": self._act[:n],
-            "rew": self._rew[:n],
-            "next": self._next[:n],
-            "term": self._term[:n],
-            "cursor": self._cursor,
-            "count": self._count,
-        }
+        return {**self.rows(self._count), "cursor": self._cursor, "count": self._count}
 
-    def load_state_dict(self, state: dict) -> None:
-        n = int(state["count"])
-        self._obs[:n] = state["obs"]
-        self._act[:n] = state["act"]
-        self._rew[:n] = state["rew"]
-        self._next[:n] = state["next"]
-        self._term[:n] = state["term"]
-        self._cursor = int(state["cursor"])
-        self._count = n
+    def restore(self, count: int, cursor: int) -> None:
+        """Take rows(count), already written, as the stored transitions,
+        with the next push at `cursor`.  Raises ConfigurationError for a
+        position that pushes cannot reach (the cursor equals the count
+        until the ring is full) and for non-finite rows."""
+        rows = self.rows(count)
+        if (not isinstance(cursor, int) or not 0 <= cursor < self.capacity
+                or (count < self.capacity and cursor != count)):
+            raise ConfigurationError(
+                f"replay cursor {cursor!r} impossible with count {count} "
+                f"and capacity {self.capacity}")
+        for key, view in rows.items():
+            if not np.isfinite(view).all():
+                raise ConfigurationError(f"replay rows {key!r} hold non-finite values")
+        self._count = count
+        self._cursor = cursor

@@ -158,6 +158,9 @@ class Trainer:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore a state_dict() snapshot, except for the replay ring:
+        its "buffer" entry is ignored, as load_trainer_into reads the
+        stored rows straight into the ring (ReplayBuffer.restore)."""
         self.seed = int(state["seed"])
         self.step = int(state["step"])
         self.episode = int(state["episode"])
@@ -169,7 +172,6 @@ class Trainer:
         self.noise.load_state_dict(state["noise"])
         self.rng_expl.bit_generator.state = state["rng_expl"]
         self.rng_replay.bit_generator.state = state["rng_replay"]
-        self.buffer.load_state_dict(state["buffer"])
         if state.get("env") is not None:
             self.env.load_state_dict(state["env"])
         if state.get("inner_env") is not None:

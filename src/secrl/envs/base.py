@@ -3,14 +3,21 @@
 Environment contract (duck-typed, mirrored by both plants):
 
     reset(seed=None) -> obs          # seed re-derives all internal rngs
-    step(u, raw_p=None, raw_i=None)  # -> (obs, task_reward, terminal, info)
+    step(u, raw_p=None, raw_i=None, scored=True, observed=True)
+                                     # -> (obs, task_reward, terminal, info)
+    measurements() -> dict           # last measurement and the reference
     action_dim, obs_dim              # ints
 
 Actions are modulation indices in [-1, 1]^m (physical voltage =
 index * v_dc / 2).  Observations are normalized feature vectors; the
 optional raw_p / raw_i blocks are echoed into the next observation's
-past-action features.  Stepping a terminal environment without reset
-raises EnvironmentFault.
+past-action features.  A step that needs no reward (evaluation rescores
+the trajectory) passes scored=False, and one whose caller reads the
+measurements instead of the observation passes observed=False; None then
+stands in for the skipped value, and the plant evolves the same.  The
+arrays in info are shared with the environment: callers must not write
+into them.  Stepping a terminal environment without reset raises
+EnvironmentFault.
 """
 
 from __future__ import annotations

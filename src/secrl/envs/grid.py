@@ -328,13 +328,15 @@ class GridEnv:
         self._pending_u = np.repeat(self._pending_u[None], k, axis=0)
         self._last_meas = tuple(np.repeat(m[None], k, axis=0) for m in self._last_meas)
 
-    def advance(self, u: np.ndarray):
+    def advance(self, u: np.ndarray, scored: bool = True):
         """One control period under the command `u`: the dead time, the
         propagation under this step's load, the noisy measurement, the task
         reward and the limit-violation flag.
 
         Returns (v_meas, i_meas, task_reward, limit_violation), per row
-        for a lockstep() episode.  step() is this plus the observation."""
+        for a lockstep() episode; with ``scored=False`` the reward is not
+        computed and None stands in for it.  step() is this plus the
+        observation."""
         if self._terminal:
             raise EnvironmentFault("step() called on terminal environment; reset first")
         u = np.asarray(u, dtype=np.float64)
@@ -361,22 +363,26 @@ class GridEnv:
         if not np.isfinite(self._x).all():
             raise EnvironmentFault("grid plant state became non-finite")
         v_meas, i_meas = self._measure()
-        reward = grid_task_reward(self._v_ref, v_meas, p.v_lim, self.gamma)
+        reward = grid_task_reward(self._v_ref, v_meas, p.v_lim, self.gamma) if scored else None
         violation = (np.abs(self._x) > self._limits).any(axis=-1)
         self._pending_u = u
         self._step_in_episode += 1
         self._last_meas = (v_meas, i_meas)
         return v_meas, i_meas, reward, violation
 
-    def step(self, u: np.ndarray, raw_p: np.ndarray | None = None, raw_i: np.ndarray | None = None):
+    def step(self, u: np.ndarray, raw_p: np.ndarray | None = None,
+             raw_i: np.ndarray | None = None, scored: bool = True, observed: bool = True):
+        """advance() plus the observation, under the contract in envs.base:
+        ``scored``/``observed`` False skip the task reward/the observation,
+        and None stands in for each (also in info["task_reward"])."""
         if self._x.ndim != 1:
             raise EnvironmentFault("step() on a lockstep episode; use advance()")
-        v_meas, i_meas, reward, violation = self.advance(u)
+        v_meas, i_meas, reward, violation = self.advance(u, scored)
         violation = bool(violation)
         terminal = violation and self.terminate_on_violation
         self._terminal = terminal
         obs = self._features(v_meas, i_meas, self._no_raw if raw_p is None else raw_p,
-                             self._no_raw if raw_i is None else raw_i)
+                             self._no_raw if raw_i is None else raw_i) if observed else None
         self._hist.push(v_meas)
         info = {
             "task_reward": reward,

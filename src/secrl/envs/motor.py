@@ -112,11 +112,15 @@ class MotorEnv:
         self.reset()
 
     def set_reference_schedule(self, series: np.ndarray | None) -> None:
-        """Replay a frozen (steps, 2) reference series instead of random draws."""
+        """Replay a frozen (steps, 2) reference series instead of random draws.
+
+        Each step's reference is a read-only view of its row, not a copy,
+        so the series must not be changed in place afterwards."""
         if series is not None:
-            series = np.asarray(series, dtype=np.float64)
+            series = np.asarray(series, dtype=np.float64).view()
             if series.ndim != 2 or series.shape[1] != 2:
                 raise ConfigurationError("reference schedule must have shape (steps, 2)")
+            series.setflags(write=False)
         self._ref_schedule = series
 
     def reset(self, seed: int | None = None) -> np.ndarray:
@@ -129,7 +133,7 @@ class MotorEnv:
         self._step_in_episode = 0
         self._terminal = False
         if self._ref_schedule is not None:
-            self.i_ref = self._ref_schedule[0].copy()
+            self.i_ref = self._ref_schedule[0]
         else:
             self.i_ref = self._refgen.draw(self._rng_env)
         obs = self._features(self._x.copy(), self._no_raw, self._no_raw)
@@ -148,7 +152,11 @@ class MotorEnv:
         num[10:] = self._hist.flat()
         return num / self._obs_scale
 
-    def step(self, u: np.ndarray, raw_p: np.ndarray | None = None, raw_i: np.ndarray | None = None):
+    def step(self, u: np.ndarray, raw_p: np.ndarray | None = None,
+             raw_i: np.ndarray | None = None, scored: bool = True, observed: bool = True):
+        """One control period, under the contract in envs.base:
+        ``scored``/``observed`` False skip the task reward/the observation,
+        and None stands in for each (also in info["task_reward"])."""
         if self._terminal:
             raise EnvironmentFault("step() called on terminal environment; reset first")
         u = np.asarray(u, dtype=np.float64)
@@ -162,7 +170,7 @@ class MotorEnv:
         if self._ref_schedule is not None:
             if self._step_in_episode >= len(self._ref_schedule):
                 raise EnvironmentFault("reference schedule exhausted")
-            self.i_ref = self._ref_schedule[self._step_in_episode].copy()
+            self.i_ref = self._ref_schedule[self._step_in_episode]
         else:
             self.i_ref = self._refgen.step(self.i_ref, self._rng_env)
         v_stator = self._pending_u * (p.v_dc / 2.0)
@@ -170,19 +178,19 @@ class MotorEnv:
         if not np.isfinite(self._x).all():
             raise EnvironmentFault("motor plant state became non-finite")
         i_meas = self._x.copy()
-        reward = motor_task_reward(self.i_ref, i_meas, p.i_lim, self.gamma)
+        reward = motor_task_reward(self.i_ref, i_meas, p.i_lim, self.gamma) if scored else None
         violation = bool((np.abs(self._x) > p.i_lim).any())
         terminal = violation and self.terminate_on_violation
         self._terminal = terminal
         obs = self._features(i_meas, self._no_raw if raw_p is None else raw_p,
-                             self._no_raw if raw_i is None else raw_i)
+                             self._no_raw if raw_i is None else raw_i) if observed else None
         self._hist.push(i_meas)
         self._pending_u = u
         self._step_in_episode += 1
         info = {
             "task_reward": reward,
             "i_meas": i_meas,
-            "i_ref": self.i_ref.copy(),
+            "i_ref": self.i_ref,
             "limit_violation": violation,
         }
         return obs, reward, terminal, info

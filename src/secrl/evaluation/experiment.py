@@ -84,7 +84,13 @@ def _plant(kind: str) -> Plant:
 class AgentPolicy:
     """Deterministic rollout policy for a trained actor.  An augmented
     actor (2m outputs) carries the integrator settings (t_i, t_aw) that
-    rollout builds its action wrapper with."""
+    rollout builds its action wrapper with.
+
+    A policy's ``act(obs, measurements)`` reads the observation when its
+    ``observes`` is true, else the measurements; rollout computes only
+    that one and passes None for the other."""
+
+    observes = True
 
     def __init__(self, actor: MlpParams, m: int, t_i: float = 0.31, t_aw: float = 0.66):
         self.actor = actor
@@ -100,7 +106,7 @@ class AgentPolicy:
         """Stateless: the integrator lives in the action wrapper."""
 
     def act(self, obs, measurements) -> np.ndarray:
-        raw, _ = mlp_forward(self.actor, obs)
+        raw, _ = mlp_forward(self.actor, obs, cache=False)
         # np.clip to [-1, 1], without its Python wrapper.
         return np.minimum(np.maximum(raw, -1.0), 1.0)
 
@@ -109,6 +115,7 @@ class ControllerPolicy:
     """Adapter putting classical controllers behind the same interface."""
 
     sec_params = None
+    observes = False
 
     def __init__(self, controller):
         self.controller = controller
@@ -122,7 +129,11 @@ class ControllerPolicy:
 
 def rollout(env, policy, case: TestCase, seed: int) -> Trajectory:
     """One deterministic evaluation episode over a frozen test case, with
-    the plant stepped through SecActionWrapper as in training."""
+    the plant stepped through SecActionWrapper as in training.
+
+    Each step computes only what the trajectory records and what the
+    policy reads: no task reward (the metrics recompute it from the
+    trajectory), and either the observation or the measurements."""
     plant = _CASE_PLANT[case.kind]
     plant.set_schedule(env, case.payload)
     t_i, t_aw = policy.sec_params or (None, None)
@@ -138,9 +149,10 @@ def rollout(env, policy, case: TestCase, seed: int) -> Trajectory:
     applied = np.empty((n, env.action_dim))
     integ = np.empty((n, env.action_dim)) if wrapped.state is not None else None
     violations = np.zeros(n)
+    observes = policy.observes
     for k in range(n):
-        u_raw = policy.act(obs, env.measurements())
-        obs, _, terminal, info = wrapped.step(u_raw)
+        u_raw = policy.act(obs, None if observes else env.measurements())
+        obs, _, terminal, info = wrapped.step(u_raw, scored=False, observed=observes)
         raws[k] = u_raw
         reference[k] = info[ref_key]
         measured[k] = info[meas_key]

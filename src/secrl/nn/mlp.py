@@ -168,8 +168,13 @@ def _leaky_slope(z: np.ndarray, beta: float) -> np.ndarray:
     return np.maximum(z > 0.0, beta)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Evaluate the network; x is (features,) or (batch, features)."""
+def mlp_forward(params: MlpParams, x: np.ndarray,
+                cache: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
+    """Evaluate the network; x is (features,) or (batch, features).
+
+    With ``cache=False`` (inference: no backward pass follows) no
+    ForwardCache is built and None stands in for it; the output is the
+    same, bit for bit."""
     x = np.asarray(x, dtype=DTYPE)
     squeeze = x.ndim == 1
     if squeeze:
@@ -178,14 +183,15 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
         raise ConfigurationError(
             f"input width {x.shape[1]} does not match network input {params.in_dim}"
         )
-    cache = ForwardCache(n_layers=len(params.weights))
-    h = x
     last = len(params.weights) - 1
+    kept = ForwardCache(n_layers=last + 1) if cache else None
+    h = x
     for j, (w, b) in enumerate(zip(params.weights, params.biases)):
-        cache.inputs.append(h)
         z = h @ w.T
         z += b
-        cache.pre_acts.append(z)
+        if kept is not None:
+            kept.inputs.append(h)
+            kept.pre_acts.append(z)
         if j < last:
             # Leaky rectifier max(beta*z, z), into the new beta*z array.
             h = params.beta * z
@@ -194,9 +200,10 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
             h = np.tanh(z)
         else:
             h = z
-    cache.output = h
+    if kept is not None:
+        kept.output = h
     out = h[0] if squeeze else h
-    return out, cache
+    return out, kept
 
 
 def mlp_backward(

@@ -155,15 +155,21 @@ class SecActionWrapper:
             self.state.reset()
         return self.env.reset(seed=seed)
 
-    def step(self, u_raw: np.ndarray):
+    def step(self, u_raw: np.ndarray, scored: bool = True, observed: bool = True):
+        """``scored`` and ``observed`` pass through to the env (see
+        envs.base); with ``scored=False`` the reward is None too.  The
+        info arrays are shared with the wrapper and the env: callers must
+        not write into them."""
         if self.state is None:
             u = np.asarray(u_raw, dtype=np.float64)
-            obs, r_task, terminal, info = self.env.step(u, raw_p=u_raw, raw_i=None)
+            obs, r_task, terminal, info = self.env.step(
+                u, raw_p=u_raw, raw_i=None, scored=scored, observed=observed)
         else:
             u, self.state = sec_apply(u_raw, self.state)
-            obs, r_task, terminal, info = self.env.step(u, raw_p=u_raw[: self.m], raw_i=u_raw[self.m:])
+            obs, r_task, terminal, info = self.env.step(
+                u, raw_p=u_raw[: self.m], raw_i=u_raw[self.m:], scored=scored, observed=observed)
         k = self.global_step
-        if self.reward_cfg is not None:
+        if self.reward_cfg is not None and scored:
             cfg = self.reward_cfg
             kp = cfg.kappa_at(k, "p")
             ki = cfg.kappa_at(k, "i")
@@ -173,11 +179,10 @@ class SecActionWrapper:
         else:
             reward = r_task
         self.global_step += 1
-        info = dict(info)
-        info["task_reward"] = r_task
         info["applied_action"] = u
         if self.state is not None:
-            info["integrator_state"] = self.state.zeta.copy()
+            # sec_apply made a new zeta; the wrapper never writes into it.
+            info["integrator_state"] = self.state.zeta
         return obs, reward, terminal, info
 
     def state_dict(self) -> dict:

@@ -340,3 +340,39 @@ def test_gen_testcase_refuses_misread_steps(tmp_path, capsys, kind, steps):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "configuration" and "steps" in record["message"]
     assert not list(out.glob("*.npz"))
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("width", "checkpoint member buf_obs: float64(60, 19), expected float64(60, 20)"),
+    ("count", "replay count 121 outside [0, 120]"),
+    ("cursor", "replay cursor -5 impossible with count 60 and capacity 120"),
+    ("cursor-behind", "replay cursor 30 impossible with count 60 and capacity 120"),
+    ("nan", "replay rows 'rew' hold non-finite values"),
+])
+def test_corrupt_replay_ring_exits_with_configuration_error(
+        paused_run, tmp_path, capsys, damage, message):
+    # The paused motor run holds 60 of its 120 ring rows, next push at 60.
+    root, base, _ = paused_run
+    with np.load(root / "head" / "checkpoint.npz", allow_pickle=False) as data:
+        members = {k: data[k] for k in data.files}
+    meta = json.loads(str(members["meta"]))
+    assert meta["buffer_scalars"] == {"cursor": 60, "count": 60}
+    if damage == "width":
+        members["buf_obs"] = members["buf_obs"][:, :-1]
+    elif damage == "count":
+        meta["buffer_scalars"]["count"] = 121
+    elif damage == "cursor":
+        meta["buffer_scalars"]["cursor"] = -5
+    elif damage == "cursor-behind":
+        meta["buffer_scalars"]["cursor"] = 30
+    else:
+        members["buf_rew"][3] = np.nan
+    members["meta"] = json.dumps(meta)
+    np.savez(tmp_path / "checkpoint.npz", **members)
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "tail"), *base,
+               "--resume", str(tmp_path / "checkpoint.npz")])
+    assert rc == 2
+    err = _error_record(capsys)
+    assert err["error"] == "configuration"
+    assert message in err["message"]

@@ -144,3 +144,49 @@ class TestOuNoise:
             OuNoise(1, stiffness=-1.0, diffusion=0.1)
         with pytest.raises(ConfigurationError):
             OuNoise(1, stiffness=1.0, diffusion=0.1, dt=0.0)
+
+
+class TestReplayRestore:
+    def _copy(self, src: ReplayBuffer, count, cursor) -> ReplayBuffer:
+        dst = ReplayBuffer(src.capacity, src.obs_dim, src.action_dim)
+        for key, view in dst.rows(src.capacity).items():
+            view[...] = src.rows(src.capacity)[key]
+        dst.restore(count, cursor)
+        return dst
+
+    def test_full_ring_with_wrapped_cursor_round_trips(self):
+        src = ReplayBuffer(5, obs_dim=2, action_dim=1)
+        for tag in range(7):
+            src.push(_exp(float(tag)))
+        state = src.state_dict()
+        assert (state["count"], state["cursor"]) == (5, 2)
+        dst = self._copy(src, 5, 2)
+        assert [e.reward for e in dst.contents()] == [2.0, 3.0, 4.0, 5.0, 6.0]
+        src.push(_exp(7.0))
+        dst.push(_exp(7.0))
+        assert [e.reward for e in dst.contents()] == [e.reward for e in src.contents()]
+
+    @pytest.mark.parametrize("count, cursor, message", [
+        (6, 0, "replay count 6 outside [0, 5]"),
+        (-1, 0, "replay count -1 outside [0, 5]"),
+        (3, -2, "replay cursor -2 impossible"),
+        (3, 1, "replay cursor 1 impossible"),
+        (5, 5, "replay cursor 5 impossible"),
+        (3.0, 3, "replay count 3.0 outside"),
+    ])
+    def test_impossible_positions_rejected(self, count, cursor, message):
+        src = ReplayBuffer(5, obs_dim=2, action_dim=1)
+        for tag in range(3):
+            src.push(_exp(float(tag)))
+        with pytest.raises(ConfigurationError, match=message.replace("[", r"\[")):
+            self._copy(src, count, cursor)
+
+    def test_non_finite_rows_rejected(self):
+        src = ReplayBuffer(5, obs_dim=2, action_dim=1)
+        for tag in range(3):
+            src.push(_exp(float(tag)))
+        src.rows(3)["next"][1, 0] = np.inf
+        with pytest.raises(ConfigurationError, match="replay rows 'next' hold non-finite"):
+            self._copy(src, 3, 3)
+        # A non-finite value past the stored count is not part of the ring.
+        self._copy(src, 1, 1)
