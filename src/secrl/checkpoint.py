@@ -120,8 +120,18 @@ def _read_into(data, key: str, out: np.ndarray) -> None:
                 raise ConfigurationError(f"checkpoint member {key} is truncated")
 
 
-def _unpack_network(prefix: str, meta: dict, data) -> MlpParams:
-    params = MlpParams(meta["layer_sizes"], None, None, meta["beta"], meta["output_activation"])
+def _unpack_network(prefix: str, meta: dict, data, params: MlpParams | None = None) -> MlpParams:
+    """The stored network, read into ``params``, or into a new network of
+    the stored layout when None; a stored layout, hidden slope or output
+    activation other than ``params``' raises ConfigurationError."""
+    stored = (meta["layer_sizes"], meta["beta"], meta["output_activation"])
+    if params is None:
+        params = MlpParams(stored[0], None, None, *stored[1:])
+    elif stored != (params.layer_sizes, params.beta, params.output_activation):
+        raise ConfigurationError(
+            f"checkpoint network {prefix[:-1]}: layers {stored[0]}, beta {stored[1]}, "
+            f"{stored[2]} output; expected layers {params.layer_sizes}, beta {params.beta}, "
+            f"{params.output_activation} output")
     for j, (w, b) in enumerate(zip(params.weights, params.biases)):
         _read_into(data, f"{prefix}w{j}", w)
         _read_into(data, f"{prefix}b{j}", b)
@@ -162,12 +172,18 @@ def _pack_optimizer(prefix: str, state, arrays: dict) -> dict:
     raise ConfigurationError(f"unknown optimizer state {type(state)!r}")
 
 
-def _unpack_optimizer(prefix: str, meta: dict, data, params: MlpParams):
-    """The stored optimizer state of ``params``, read into fresh moments."""
+def _unpack_optimizer(prefix: str, meta: dict, data, params: MlpParams, state=None):
+    """The stored optimizer state of ``params``, read into the moments of
+    ``state``, or into fresh ones when None; a stored optimizer of another
+    kind than ``state`` raises ConfigurationError."""
     if meta["kind"] not in _OPTIMIZERS:
         raise ConfigurationError(f"unknown optimizer kind {meta['kind']!r}")
     cls, lists, scalars = _OPTIMIZERS[meta["kind"]]
-    state = cls.for_params(params)
+    if state is None:
+        state = cls.for_params(params)
+    elif not isinstance(state, cls):
+        raise ConfigurationError(
+            f"checkpoint optimizer {prefix}: {meta['kind']}, expected {type(state).__name__}")
     for k in scalars:
         setattr(state, k, meta[k])
     for j in range(len(params.weights)):
@@ -191,13 +207,20 @@ def _pack_agent(agent: DdpgAgent, arrays: dict) -> dict:
 
 
 def _unpack_agent(meta: dict, data, agent: DdpgAgent) -> None:
-    """Replace ``agent``'s networks and optimizer states with the stored ones."""
-    agent.actor = _unpack_network("actor_", meta["actor"], data)
-    agent.critic = _unpack_network("critic_", meta["critic"], data)
-    agent.actor_target = _unpack_network("actor_t_", meta["actor_target"], data)
-    agent.critic_target = _unpack_network("critic_t_", meta["critic_target"], data)
-    agent.actor_opt = _unpack_optimizer("aopt", meta["actor_opt"], data, agent.actor)
-    agent.critic_opt = _unpack_optimizer("copt", meta["critic_opt"], data, agent.critic)
+    """Read the stored networks and optimizer states into ``agent``'s own,
+    which must have the stored layout; a bare agent (no networks yet) gets
+    new ones of the stored layout."""
+    own = vars(agent).get
+    agent.actor = _unpack_network("actor_", meta["actor"], data, own("actor"))
+    agent.critic = _unpack_network("critic_", meta["critic"], data, own("critic"))
+    agent.actor_target = _unpack_network("actor_t_", meta["actor_target"], data,
+                                         own("actor_target"))
+    agent.critic_target = _unpack_network("critic_t_", meta["critic_target"], data,
+                                          own("critic_target"))
+    agent.actor_opt = _unpack_optimizer("aopt", meta["actor_opt"], data, agent.actor,
+                                        own("actor_opt"))
+    agent.critic_opt = _unpack_optimizer("copt", meta["critic_opt"], data, agent.critic,
+                                         own("critic_opt"))
 
 
 def save_agent(path: str | Path, agent: DdpgAgent, extra: dict | None = None) -> None:
@@ -246,7 +269,8 @@ def _unpack_buffer(scalars: dict, data, buffer) -> None:
 
 
 def load_trainer_into(path: str | Path, trainer) -> None:
-    """Restore a snapshot into a Trainer built from the identical config."""
+    """Restore a snapshot into a Trainer built from the identical config,
+    reading it straight into the trainer's networks, moments and ring."""
     with _reading(path, "trainer") as (meta, data):
         _unpack_agent(meta, data, trainer.agent)
         _unpack_buffer(meta["buffer_scalars"], data, trainer.buffer)

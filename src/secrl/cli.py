@@ -21,6 +21,7 @@ from .evaluation.experiment import (
     build_eval_env,
     build_trainer,
     evaluate_policy,
+    keep_freed_memory,
     make_testcase,
     run_experiment,
     train_agent,
@@ -68,6 +69,7 @@ def _check_resume_config(path: Path, cfg: RunConfig) -> None:
 
 
 def cmd_train(args) -> int:
+    keep_freed_memory()
     cfg, seed, out_dir = _load_config(args)
     variant = cfg["agent.variant"]
     if variant not in RL_VARIANTS:
@@ -129,6 +131,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    keep_freed_memory()
     cfg, _, out_dir = _load_config(args)
     summary = run_experiment(cfg, out_dir)
     ok = [r for r in summary["runs"] if r["status"] == "ok"]

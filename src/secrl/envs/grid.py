@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import ConfigurationError, EnvironmentFault
 from ..seeding import STREAM_LOAD, STREAM_NOISE, derive_rng
-from .base import HistoryRing, LtiStepper
+from .base import HistoryRing, LtiStepper, PlantEnv, read_only
 
 R_LOAD_MIN = 14.0
 R_LOAD_MAX = 200.0
@@ -178,8 +178,10 @@ def seeded_load_series(seed: int, steps: int, dt: float) -> np.ndarray:
     return series
 
 
-class GridEnv:
+class GridEnv(PlantEnv):
     """dq0 voltage-control environment over the LC-filter plant."""
+
+    name = "grid"
 
     def __init__(
         self,
@@ -188,23 +190,18 @@ class GridEnv:
         seed: int = 0,
         terminate_on_violation: bool = False,
     ):
-        self.params = params or GridParams()
-        self.gamma = float(gamma)
-        self.terminate_on_violation = bool(terminate_on_violation)
-        self.action_dim = 3
-        self.obs_dim = 18 + 3 * self.params.history_length
-        self._hist = HistoryRing(self.params.history_length, 3)
+        self.params = p = params or GridParams()
+        super().__init__(gamma, terminate_on_violation, seed, action_dim=3,
+                         obs_dim=18 + 3 * p.history_length,
+                         history=HistoryRing(p.history_length, 3),
+                         limits=np.array([p.i_lim] * 3 + [p.v_lim] * 3),  # state [i_dq0, v_dq0]
+                         v_dc=p.v_dc)
         self._b = np.zeros((6, 3))
-        self._b[0, 0] = self._b[1, 1] = self._b[2, 2] = 1.0 / self.params.inductance
+        self._b[0, 0] = self._b[1, 1] = self._b[2, 2] = 1.0 / p.inductance
         self._c = np.zeros(6)
         self._a_template = self._make_a_template()
         # Per-step constants; v_ref is shared by every info/measurements dict.
-        self._v_ref = self.params.v_ref
-        self._v_ref.setflags(write=False)
-        self._half_bus = self.params.v_dc / 2.0
-        p = self.params
-        # |x| limits in state order [i_dq0, v_dq0], for the violation flag.
-        self._limits = np.array([p.i_lim] * 3 + [p.v_lim] * 3)
+        self._v_ref = read_only(p.v_ref)
         # Measurement noise, one draw per step: voltages first, then
         # currents, each only when its level is > 0.  _noise_at is the
         # noisy part of a measurement [v_dq0, i_dq0].
@@ -217,12 +214,8 @@ class GridEnv:
                                    + [1.0] * 6 + [p.v_lim] * 3 * p.history_length)
         self._obs_num = np.empty(self.obs_dim)
         self._obs_num[6:9] = self._v_ref / p.v_lim
-        self._no_raw = np.zeros(3)
-        self._no_raw.setflags(write=False)
         self._load_schedule: np.ndarray | None = None
         self._block: tuple[int, np.ndarray, LtiStepper] | None = None
-        self._seed = int(seed)
-        self._derive_rngs(self._seed)
         self.reset()
 
     def _derive_rngs(self, seed: int) -> None:
@@ -274,24 +267,27 @@ class GridEnv:
         self._block = None
 
     def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._seed = int(seed)
-            self._derive_rngs(self._seed)
-        self._x = np.zeros(6)
-        self._pending_u = np.zeros(3)
-        self._hist.reset()
-        self._step_in_episode = 0
-        self._terminal = False
+        self._reset_core(seed, 6)
         if self._load_schedule is None:
             self._load = LoadProcess.draw(self._rng_load, self.params.dt)
         self.r_load = (
             float(self._load_schedule[0]) if self._load_schedule is not None else self._load.value
         )
-        v_meas, i_meas = self._measure()
-        obs = self._features(v_meas, i_meas, self._no_raw, self._no_raw)
-        self._hist.push(v_meas)
-        self._last_meas = (v_meas, i_meas)
-        return obs
+        self._last_meas = self._measure()
+        return self._observe(self._last_meas)
+
+    def _propagate(self, v_inverter: np.ndarray) -> np.ndarray:
+        """This step's load (schedule entry or live draw) and the state it
+        propagates to."""
+        if self._load_schedule is not None:
+            k = self._step_in_episode
+            if k >= len(self._load_schedule):
+                raise EnvironmentFault("load schedule exhausted")
+            self.r_load = float(self._load_schedule[k])
+            stepper, j = self._scheduled_stepper(k)
+            return stepper.propagate(self._x, v_inverter, j)
+        self.r_load = self._load.step(self._rng_load)
+        return self._stepper_for(self.r_load).propagate(self._x, v_inverter)
 
     def _measure(self) -> tuple[np.ndarray, np.ndarray]:
         # One noise draw per step, shared by every row of a lockstep state.
@@ -299,6 +295,8 @@ class GridEnv:
         if self._noise_scale.size:
             meas[..., self._noise_at] += (
                 self._noise_scale * self._rng_noise.standard_normal(self._noise_scale.size))
+        # Read-only, so that measurements() and info can share it uncopied.
+        meas.setflags(write=False)
         return meas[..., :3], meas[..., 3:]
 
     def _features(self, v_meas, i_meas, raw_p, raw_i) -> np.ndarray:
@@ -326,7 +324,7 @@ class GridEnv:
             raise EnvironmentFault("lockstep() needs a freshly reset episode")
         self._x = np.repeat(self._x[None], k, axis=0)
         self._pending_u = np.repeat(self._pending_u[None], k, axis=0)
-        self._last_meas = tuple(np.repeat(m[None], k, axis=0) for m in self._last_meas)
+        self._last_meas = tuple(read_only(np.repeat(m[None], k, axis=0)) for m in self._last_meas)
 
     def advance(self, u: np.ndarray, scored: bool = True):
         """One control period under the command `u`: the dead time, the
@@ -337,37 +335,10 @@ class GridEnv:
         for a lockstep() episode; with ``scored=False`` the reward is not
         computed and None stands in for it.  step() is this plus the
         observation."""
-        if self._terminal:
-            raise EnvironmentFault("step() called on terminal environment; reset first")
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != self._pending_u.shape:
-            raise ConfigurationError(
-                f"grid action must have shape {self._pending_u.shape}, got {u.shape}")
-        if (np.abs(u) > 1.0 + 1e-9).any():
-            raise ConfigurationError(f"action outside [-1, 1]: {u}")
-        # np.clip to [-1, 1], without its Python wrapper; a new array.
-        u = np.minimum(np.maximum(u, -1.0), 1.0)
-        p = self.params
-        # Dead time: the voltage applied this period is last step's command.
-        v_inverter = self._pending_u * self._half_bus
-        if self._load_schedule is not None:
-            k = self._step_in_episode
-            if k >= len(self._load_schedule):
-                raise EnvironmentFault("load schedule exhausted")
-            self.r_load = float(self._load_schedule[k])
-            stepper, j = self._scheduled_stepper(k)
-            self._x = stepper.propagate(self._x, v_inverter, j)
-        else:
-            self.r_load = self._load.step(self._rng_load)
-            self._x = self._stepper_for(self.r_load).propagate(self._x, v_inverter)
-        if not np.isfinite(self._x).all():
-            raise EnvironmentFault("grid plant state became non-finite")
-        v_meas, i_meas = self._measure()
-        reward = grid_task_reward(self._v_ref, v_meas, p.v_lim, self.gamma) if scored else None
-        violation = (np.abs(self._x) > self._limits).any(axis=-1)
-        self._pending_u = u
-        self._step_in_episode += 1
-        self._last_meas = (v_meas, i_meas)
+        violation = self._transition(u)
+        self._last_meas = v_meas, i_meas = self._measure()
+        reward = (grid_task_reward(self._v_ref, v_meas, self.params.v_lim, self.gamma)
+                  if scored else None)
         return v_meas, i_meas, reward, violation
 
     def step(self, u: np.ndarray, raw_p: np.ndarray | None = None,
@@ -378,12 +349,8 @@ class GridEnv:
         if self._x.ndim != 1:
             raise EnvironmentFault("step() on a lockstep episode; use advance()")
         v_meas, i_meas, reward, violation = self.advance(u, scored)
-        violation = bool(violation)
-        terminal = violation and self.terminate_on_violation
-        self._terminal = terminal
-        obs = self._features(v_meas, i_meas, self._no_raw if raw_p is None else raw_p,
-                             self._no_raw if raw_i is None else raw_i) if observed else None
-        self._hist.push(v_meas)
+        violation, terminal = self._settle(violation)
+        obs = self._observe((v_meas, i_meas), raw_p, raw_i, observed)
         info = {
             "task_reward": reward,
             "v_meas": v_meas,
@@ -396,24 +363,11 @@ class GridEnv:
 
     def measurements(self) -> dict:
         v, i = self._last_meas
-        return {"v": v.copy(), "i": i.copy(), "ref": self._v_ref}
-
-    @property
-    def plant_state(self) -> np.ndarray:
-        """True (noise-free) state [i_dq0, v_dq0]; for tests and logging."""
-        return self._x.copy()
-
-    @plant_state.setter
-    def plant_state(self, x: np.ndarray) -> None:
-        self._x = np.asarray(x, dtype=np.float64).copy()
+        return {"v": v, "i": i, "ref": self._v_ref}
 
     def state_dict(self) -> dict:
         return {
-            "x": self._x.copy(),
-            "pending_u": self._pending_u.copy(),
-            "hist": self._hist._buf.copy(),
-            "step_in_episode": self._step_in_episode,
-            "terminal": self._terminal,
+            **super().state_dict(),
             "load": self._load.state_dict(),
             "rng_load": self._rng_load.bit_generator.state,
             "rng_noise": self._rng_noise.bit_generator.state,
@@ -423,17 +377,13 @@ class GridEnv:
 
     def load_state_dict(self, s: dict) -> None:
         # Snapshots of earlier versions also hold an unused "rng_env"; it is ignored.
-        self._x = np.asarray(s["x"], dtype=np.float64).copy()
-        self._pending_u = np.asarray(s["pending_u"], dtype=np.float64).copy()
-        self._hist._buf = np.asarray(s["hist"], dtype=np.float64).copy()
-        self._step_in_episode = int(s["step_in_episode"])
-        self._terminal = bool(s["terminal"])
+        super().load_state_dict(s)
         self._load.load_state_dict(s["load"])
         self._rng_load.bit_generator.state = s["rng_load"]
         self._rng_noise.bit_generator.state = s["rng_noise"]
         self._last_meas = (
-            np.asarray(s["last_v"], dtype=np.float64).copy(),
-            np.asarray(s["last_i"], dtype=np.float64).copy(),
+            read_only(np.asarray(s["last_v"], dtype=np.float64).copy()),
+            read_only(np.asarray(s["last_i"], dtype=np.float64).copy()),
         )
         if self._load_schedule is not None:
             # The entry the last step applied (reset applies entry 0).

@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import ConfigurationError, EnvironmentFault
 from ..seeding import STREAM_ENV, derive_rng
-from .base import HistoryRing, LtiStepper
+from .base import HistoryRing, LtiStepper, PlantEnv, read_only
 
 
 @dataclass
@@ -75,8 +75,10 @@ class ReferenceGenerator:
         return self.draw(rng)
 
 
-class MotorEnv:
+class MotorEnv(PlantEnv):
     """dq current-control environment over the PMSM electrical dynamics."""
+
+    name = "motor"
 
     def __init__(
         self,
@@ -85,13 +87,11 @@ class MotorEnv:
         seed: int = 0,
         terminate_on_violation: bool = False,
     ):
-        self.params = params or MotorParams()
-        self.gamma = float(gamma)
-        self.terminate_on_violation = bool(terminate_on_violation)
-        self.action_dim = 2
-        self.obs_dim = 10 + 2 * self.params.history_length
-        self._hist = HistoryRing(self.params.history_length, 2)
-        p = self.params
+        self.params = p = params or MotorParams()
+        super().__init__(gamma, terminate_on_violation, seed, action_dim=2,
+                         obs_dim=10 + 2 * p.history_length,
+                         history=HistoryRing(p.history_length, 2),
+                         limits=np.full(2, p.i_lim), v_dc=p.v_dc)
         a = np.array([
             [-p.r_s / p.l_d, p.omega_el * p.l_q / p.l_d],
             [-p.omega_el * p.l_d / p.l_q, -p.r_s / p.l_q],
@@ -104,12 +104,11 @@ class MotorEnv:
         # i, i_ref, error, raw_p, raw_i, current history (raw blocks: 1.0).
         self._obs_scale = np.array([p.i_lim] * 6 + [1.0] * 4 + [p.i_lim] * 2 * p.history_length)
         self._obs_num = np.empty(self.obs_dim)
-        self._no_raw = np.zeros(2)
-        self._no_raw.setflags(write=False)
         self._ref_schedule: np.ndarray | None = None
-        self._seed = int(seed)
-        self._rng_env = derive_rng(self._seed, STREAM_ENV)
         self.reset()
+
+    def _derive_rngs(self, seed: int) -> None:
+        self._rng_env = derive_rng(seed, STREAM_ENV)
 
     def set_reference_schedule(self, series: np.ndarray | None) -> None:
         """Replay a frozen (steps, 2) reference series instead of random draws.
@@ -117,28 +116,29 @@ class MotorEnv:
         Each step's reference is a read-only view of its row, not a copy,
         so the series must not be changed in place afterwards."""
         if series is not None:
-            series = np.asarray(series, dtype=np.float64).view()
+            series = read_only(np.asarray(series, dtype=np.float64))
             if series.ndim != 2 or series.shape[1] != 2:
                 raise ConfigurationError("reference schedule must have shape (steps, 2)")
-            series.setflags(write=False)
         self._ref_schedule = series
 
     def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._seed = int(seed)
-            self._rng_env = derive_rng(self._seed, STREAM_ENV)
-        self._x = np.zeros(2)
-        self._pending_u = np.zeros(2)
-        self._hist.reset()
-        self._step_in_episode = 0
-        self._terminal = False
+        self._reset_core(seed, 2)
         if self._ref_schedule is not None:
             self.i_ref = self._ref_schedule[0]
         else:
             self.i_ref = self._refgen.draw(self._rng_env)
-        obs = self._features(self._x.copy(), self._no_raw, self._no_raw)
-        self._hist.push(self._x)
-        return obs
+        return self._observe((self._x.copy(),))
+
+    def _propagate(self, v_stator: np.ndarray) -> np.ndarray:
+        """This step's reference (schedule row or held/redrawn) and the
+        state it propagates to."""
+        if self._ref_schedule is not None:
+            if self._step_in_episode >= len(self._ref_schedule):
+                raise EnvironmentFault("reference schedule exhausted")
+            self.i_ref = self._ref_schedule[self._step_in_episode]
+        else:
+            self.i_ref = self._refgen.step(self.i_ref, self._rng_env)
+        return self._stepper.propagate(self._x, v_stator)
 
     def _features(self, i_meas, raw_p, raw_i) -> np.ndarray:
         num = self._obs_num
@@ -157,36 +157,11 @@ class MotorEnv:
         """One control period, under the contract in envs.base:
         ``scored``/``observed`` False skip the task reward/the observation,
         and None stands in for each (also in info["task_reward"])."""
-        if self._terminal:
-            raise EnvironmentFault("step() called on terminal environment; reset first")
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (2,):
-            raise ConfigurationError(f"motor action must have shape (2,), got {u.shape}")
-        if (np.abs(u) > 1.0 + 1e-9).any():
-            raise ConfigurationError(f"action outside [-1, 1]: {u}")
-        # np.clip to [-1, 1], without its Python wrapper; a new array.
-        u = np.minimum(np.maximum(u, -1.0), 1.0)
-        p = self.params
-        if self._ref_schedule is not None:
-            if self._step_in_episode >= len(self._ref_schedule):
-                raise EnvironmentFault("reference schedule exhausted")
-            self.i_ref = self._ref_schedule[self._step_in_episode]
-        else:
-            self.i_ref = self._refgen.step(self.i_ref, self._rng_env)
-        v_stator = self._pending_u * (p.v_dc / 2.0)
-        self._x = self._stepper.propagate(self._x, v_stator)
-        if not np.isfinite(self._x).all():
-            raise EnvironmentFault("motor plant state became non-finite")
+        violation, terminal = self._settle(self._transition(u))
         i_meas = self._x.copy()
-        reward = motor_task_reward(self.i_ref, i_meas, p.i_lim, self.gamma) if scored else None
-        violation = bool((np.abs(self._x) > p.i_lim).any())
-        terminal = violation and self.terminate_on_violation
-        self._terminal = terminal
-        obs = self._features(i_meas, self._no_raw if raw_p is None else raw_p,
-                             self._no_raw if raw_i is None else raw_i) if observed else None
-        self._hist.push(i_meas)
-        self._pending_u = u
-        self._step_in_episode += 1
+        reward = (motor_task_reward(self.i_ref, i_meas, self.params.i_lim, self.gamma)
+                  if scored else None)
+        obs = self._observe((i_meas,), raw_p, raw_i, observed)
         info = {
             "task_reward": reward,
             "i_meas": i_meas,
@@ -196,32 +171,16 @@ class MotorEnv:
         return obs, reward, terminal, info
 
     def measurements(self) -> dict:
-        return {"i": self._x.copy(), "ref": self.i_ref.copy()}
-
-    @property
-    def plant_state(self) -> np.ndarray:
-        return self._x.copy()
-
-    @plant_state.setter
-    def plant_state(self, x: np.ndarray) -> None:
-        self._x = np.asarray(x, dtype=np.float64).copy()
+        return {"i": read_only(self._x), "ref": read_only(self.i_ref)}
 
     def state_dict(self) -> dict:
         return {
-            "x": self._x.copy(),
-            "pending_u": self._pending_u.copy(),
-            "hist": self._hist._buf.copy(),
-            "step_in_episode": self._step_in_episode,
-            "terminal": self._terminal,
+            **super().state_dict(),
             "i_ref": self.i_ref.copy(),
             "rng_env": self._rng_env.bit_generator.state,
         }
 
     def load_state_dict(self, s: dict) -> None:
-        self._x = np.asarray(s["x"], dtype=np.float64).copy()
-        self._pending_u = np.asarray(s["pending_u"], dtype=np.float64).copy()
-        self._hist._buf = np.asarray(s["hist"], dtype=np.float64).copy()
-        self._step_in_episode = int(s["step_in_episode"])
-        self._terminal = bool(s["terminal"])
+        super().load_state_dict(s)
         self.i_ref = np.asarray(s["i_ref"], dtype=np.float64).copy()
         self._rng_env.bit_generator.state = s["rng_env"]

@@ -260,3 +260,38 @@ def test_corrupt_agent_members_are_configuration_errors(tmp_path, damage, messag
     np.savez(path, **members)
     with pytest.raises(ConfigurationError, match=message):
         load_agent(path)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"critic_hidden": [24]}, r"network critic: layers \[39, 16, 1\], .* expected layers \[39, 24, 1\]"),
+    ({"beta_actor": 0.5}, r"network actor: .*beta 0.208, .* expected .*beta 0.5"),
+    ({"optimizer": "sgd"}, "optimizer aopt: adam, expected SgdState"),
+])
+def test_resume_refuses_a_snapshot_of_another_network_layout(tmp_path, change, message):
+    path = tmp_path / "ck.npz"
+    trainer = make_sec_grid_trainer(seed=12, steps=60, episode_steps=30, beta_actor=0.208)
+    trainer.run()
+    save_trainer(path, trainer)
+    other = make_sec_grid_trainer(seed=12, steps=60, episode_steps=30,
+                                  **{"beta_actor": 0.208, **change})
+    with pytest.raises(ConfigurationError, match=message):
+        load_trainer_into(path, other)
+
+
+def test_resume_reads_into_the_trainers_own_vectors(tmp_path):
+    path = tmp_path / "ck.npz"
+    trainer = make_sec_grid_trainer(seed=13, steps=60, episode_steps=30)
+    trainer.run()
+    save_trainer(path, trainer)
+    fresh = make_sec_grid_trainer(seed=13, steps=60, episode_steps=30)
+    a = fresh.agent
+    before = [a.actor, a.critic, a.actor_target, a.critic_target, a.actor_opt, a.critic_opt]
+    vectors = [p.data for p in before[:4]] + [a.actor_opt.m, a.critic_opt.v]
+    load_trainer_into(path, fresh)
+    after = [a.actor, a.critic, a.actor_target, a.critic_target, a.actor_opt, a.critic_opt]
+    assert all(x is y for x, y in zip(before, after))
+    assert all(v is w for v, w in zip(vectors, [p.data for p in after[:4]]
+                                      + [a.actor_opt.m, a.critic_opt.v]))
+    assert np.array_equal(a.critic.flat(), trainer.agent.critic.flat())
+    assert a.critic_opt.step == trainer.agent.critic_opt.step > 0
+    assert np.array_equal(a.actor_opt.m, trainer.agent.actor_opt.m)
