@@ -84,7 +84,6 @@ class GridCascadePolicy:
 
 def validation_score(
     params: GridParams, gains: CascadeGains | Sequence[CascadeGains], seed: int, steps: int,
-    load_series: np.ndarray | None = None,
 ) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
     """Mean task reward (discount 0) of a closed-loop seeded episode, plus
     whether any limit violation occurred: (float, bool) for one
@@ -96,19 +95,14 @@ def validation_score(
     separate episodes of the same seed would draw exactly those, because
     neither the loads nor the noise depend on the plant state, so every
     row's score and flag equal its candidate's own episode bit for bit.
-
-    The episode's loads are those the live load process draws for `seed`;
-    pass them as `load_series` (``seeded_load_series(seed, steps,
-    params.dt)``) to skip drawing them again.  Replaying them as a schedule
-    gives the same episode bit for bit."""
+    The loads are those the live load process draws for `seed`, replayed
+    as a schedule, which gives the same episode bit for bit."""
     if steps < 1:
         raise ConfigurationError(f"validation episode needs steps >= 1, got {steps}")
     single = isinstance(gains, CascadeGains)
     candidates = [gains] if single else list(gains)
-    if load_series is None:
-        load_series = seeded_load_series(seed, steps, params.dt)
     env = GridEnv(params, gamma=0.0, seed=seed, terminate_on_violation=False)
-    env.set_load_schedule(load_series)
+    env.set_load_schedule(seeded_load_series(seed, steps, params.dt))
     env.reset(seed=seed)
     env.lockstep(len(candidates))
     policy = GridCascadePolicy(params, candidates)

@@ -81,24 +81,13 @@ class MotorPiPolicy:
     """Closed-loop current controller usable wherever an agent policy is:
     reads physical measurements, emits modulation indices in [-1, 1]^2."""
 
-    def __init__(self, params: MotorParams, decoupling: bool = False, delay_steps: int = 1):
+    def __init__(self, params: MotorParams, delay_steps: int = 1):
         self.params = params
         kp, ki = symmetrical_optimum_gains(params, params.dt, delay_steps)
         self.pi = PiController(kp, ki, -1.0, 1.0)
-        self.decoupling = bool(decoupling)
 
     def reset(self) -> None:
         self.pi.reset()
 
     def action(self, measurements: dict) -> np.ndarray:
-        i = measurements["i"]
-        ref = measurements["ref"]
-        p = self.params
-        ff = 0.0
-        if self.decoupling:
-            half_bus = p.v_dc / 2.0
-            ff = np.array([
-                -p.omega_el * p.l_q * i[1],
-                p.omega_el * (p.l_d * i[0] + p.psi_pm),
-            ]) / half_bus
-        return self.pi.step(ref - i, p.dt, feedforward=ff)
+        return self.pi.step(measurements["ref"] - measurements["i"], self.params.dt)

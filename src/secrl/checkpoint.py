@@ -25,6 +25,8 @@ from .nn.optim import AdamState, RmsPropState, SgdState
 
 FORMAT_VERSION = 1
 _READ_CHUNK = 1 << 18  # bytes
+# What reading a damaged, truncated or foreign npz file can raise.
+READ_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error)
 
 
 def _jsonable(obj):
@@ -75,9 +77,9 @@ def _write_npz(path: str | Path, meta: dict, arrays: dict) -> None:
 
 @contextlib.contextmanager
 def _reading(path: str | Path, kind: str):
-    """Yield ``(meta, data)``; unreadable files, missing members (also when
-    looked up inside the ``with`` block) and other versions raise
-    ConfigurationError."""
+    """Yield ``(meta, data)``; unreadable files, missing members or meta
+    fields of the wrong kind (also when looked up inside the ``with``
+    block) and other versions raise ConfigurationError."""
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
@@ -85,7 +87,7 @@ def _reading(path: str | Path, kind: str):
                 raise ConfigurationError(
                     f"unsupported {kind} checkpoint version {meta.get('version')}")
             yield meta, data
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+    except READ_ERRORS as exc:
         raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
@@ -120,14 +122,12 @@ def _read_into(data, key: str, out: np.ndarray) -> None:
                 raise ConfigurationError(f"checkpoint member {key} is truncated")
 
 
-def _unpack_network(prefix: str, meta: dict, data, params: MlpParams | None = None) -> MlpParams:
-    """The stored network, read into ``params``, or into a new network of
-    the stored layout when None; a stored layout, hidden slope or output
-    activation other than ``params``' raises ConfigurationError."""
+def _unpack_network(prefix: str, meta: dict, data, params: MlpParams) -> None:
+    """Read the stored network into ``params``; a stored layout, hidden
+    slope or output activation other than ``params``' raises
+    ConfigurationError."""
     stored = (meta["layer_sizes"], meta["beta"], meta["output_activation"])
-    if params is None:
-        params = MlpParams(stored[0], None, None, *stored[1:])
-    elif stored != (params.layer_sizes, params.beta, params.output_activation):
+    if stored != (params.layer_sizes, params.beta, params.output_activation):
         raise ConfigurationError(
             f"checkpoint network {prefix[:-1]}: layers {stored[0]}, beta {stored[1]}, "
             f"{stored[2]} output; expected layers {params.layer_sizes}, beta {params.beta}, "
@@ -136,7 +136,6 @@ def _unpack_network(prefix: str, meta: dict, data, params: MlpParams | None = No
         _read_into(data, f"{prefix}w{j}", w)
         _read_into(data, f"{prefix}b{j}", b)
     params.validate()
-    return params
 
 
 def save_network(path: str | Path, params: MlpParams) -> None:
@@ -146,7 +145,10 @@ def save_network(path: str | Path, params: MlpParams) -> None:
 
 def load_network(path: str | Path) -> MlpParams:
     with _reading(path, "network") as (meta, data):
-        return _unpack_network("", meta, data)
+        params = MlpParams(meta["layer_sizes"], None, None, meta["beta"],
+                           meta["output_activation"])
+        _unpack_network("", meta, data, params)
+        return params
 
 
 # -- optimizer states ------------------------------------------------------
@@ -160,67 +162,64 @@ _OPTIMIZERS = {
 }
 
 
+def _moment_members(prefix: str, lists: dict, state):
+    """``(member name, per-layer moment view)`` of ``state``, in file order."""
+    per_layer = [getattr(state, name) for name in lists.values()]
+    for j in range(len(per_layer[0])):
+        for code, views in zip(lists, per_layer):
+            yield f"{prefix}_{code}{j}", views[j]
+
+
 def _pack_optimizer(prefix: str, state, arrays: dict) -> dict:
     for kind, (cls, lists, scalars) in _OPTIMIZERS.items():
         if isinstance(state, cls):
-            per_layer = [getattr(state, name) for name in lists.values()]
-            for j in range(len(per_layer[0])):
-                for code, values in zip(lists, per_layer):
-                    arrays[f"{prefix}_{code}{j}"] = values[j]
+            members = dict(_moment_members(prefix, lists, state))
+            arrays.update(members)
             return {"kind": kind, **{k: getattr(state, k) for k in scalars},
-                    "layers": len(per_layer[0])}
+                    "layers": len(members) // len(lists)}
     raise ConfigurationError(f"unknown optimizer state {type(state)!r}")
 
 
-def _unpack_optimizer(prefix: str, meta: dict, data, params: MlpParams, state=None):
-    """The stored optimizer state of ``params``, read into the moments of
-    ``state``, or into fresh ones when None; a stored optimizer of another
-    kind than ``state`` raises ConfigurationError."""
+def _unpack_optimizer(prefix: str, meta: dict, data, state) -> None:
+    """Read the stored optimizer state into ``state``'s moments; a stored
+    optimizer of another kind raises ConfigurationError."""
     if meta["kind"] not in _OPTIMIZERS:
         raise ConfigurationError(f"unknown optimizer kind {meta['kind']!r}")
     cls, lists, scalars = _OPTIMIZERS[meta["kind"]]
-    if state is None:
-        state = cls.for_params(params)
-    elif not isinstance(state, cls):
+    if not isinstance(state, cls):
         raise ConfigurationError(
             f"checkpoint optimizer {prefix}: {meta['kind']}, expected {type(state).__name__}")
     for k in scalars:
         setattr(state, k, meta[k])
-    for j in range(len(params.weights)):
-        for code, name in lists.items():
-            _read_into(data, f"{prefix}_{code}{j}", getattr(state, name)[j])
-    return state
+    for key, view in _moment_members(prefix, lists, state):
+        _read_into(data, key, view)
 
 
 # -- full agents -----------------------------------------------------------
 
+# meta key and member prefix of each network and optimizer state, in file order
+_NETWORKS = (("actor", "actor_"), ("critic", "critic_"),
+             ("actor_target", "actor_t_"), ("critic_target", "critic_t_"))
+_OPTIMIZER_STATES = (("actor_opt", "aopt"), ("critic_opt", "copt"))
+
+
 def _pack_agent(agent: DdpgAgent, arrays: dict) -> dict:
-    return {
-        "agent_config": _jsonable(vars(agent.config)),
-        "actor": _pack_network("actor_", agent.actor, arrays),
-        "critic": _pack_network("critic_", agent.critic, arrays),
-        "actor_target": _pack_network("actor_t_", agent.actor_target, arrays),
-        "critic_target": _pack_network("critic_t_", agent.critic_target, arrays),
-        "actor_opt": _pack_optimizer("aopt", agent.actor_opt, arrays),
-        "critic_opt": _pack_optimizer("copt", agent.critic_opt, arrays),
-    }
+    meta = {"agent_config": _jsonable(vars(agent.config))}
+    for name, prefix in _NETWORKS:
+        meta[name] = _pack_network(prefix, getattr(agent, name), arrays)
+    for name, prefix in _OPTIMIZER_STATES:
+        meta[name] = _pack_optimizer(prefix, getattr(agent, name), arrays)
+    return meta
 
 
 def _unpack_agent(meta: dict, data, agent: DdpgAgent) -> None:
-    """Read the stored networks and optimizer states into ``agent``'s own,
-    which must have the stored layout; a bare agent (no networks yet) gets
-    new ones of the stored layout."""
-    own = vars(agent).get
-    agent.actor = _unpack_network("actor_", meta["actor"], data, own("actor"))
-    agent.critic = _unpack_network("critic_", meta["critic"], data, own("critic"))
-    agent.actor_target = _unpack_network("actor_t_", meta["actor_target"], data,
-                                         own("actor_target"))
-    agent.critic_target = _unpack_network("critic_t_", meta["critic_target"], data,
-                                          own("critic_target"))
-    agent.actor_opt = _unpack_optimizer("aopt", meta["actor_opt"], data, agent.actor,
-                                        own("actor_opt"))
-    agent.critic_opt = _unpack_optimizer("copt", meta["critic_opt"], data, agent.critic,
-                                         own("critic_opt"))
+    """Read the stored networks and optimizer states into ``agent``'s own;
+    a stored layout or optimizer kind other than the agent's raises
+    ConfigurationError."""
+    for name, prefix in _NETWORKS:
+        _unpack_network(prefix, meta[name], data, getattr(agent, name))
+    for name, prefix in _OPTIMIZER_STATES:
+        _unpack_optimizer(prefix, meta[name], data, getattr(agent, name))
 
 
 def save_agent(path: str | Path, agent: DdpgAgent, extra: dict | None = None) -> None:
@@ -231,10 +230,13 @@ def save_agent(path: str | Path, agent: DdpgAgent, extra: dict | None = None) ->
 
 
 def load_agent(path: str | Path) -> tuple[DdpgAgent, dict]:
+    """The stored agent, read into one built from its stored
+    ``agent_config`` as training builds it; networks or optimizer states
+    that disagree with that config raise ConfigurationError."""
     with _reading(path, "agent") as (meta, data):
-        # Skip __init__: its random initialization would be overwritten.
-        agent = DdpgAgent.__new__(DdpgAgent)
-        agent.config = AgentConfig(**_unjsonable(meta["agent_config"]))
+        # The seed is arbitrary: the stored parameters overwrite the init.
+        agent = DdpgAgent(AgentConfig(**_unjsonable(meta["agent_config"])),
+                          np.random.default_rng(0))
         _unpack_agent(meta, data, agent)
         return agent, _unjsonable(meta["extra"])
 

@@ -25,6 +25,7 @@ from .evaluation.experiment import (
     make_testcase,
     run_experiment,
     train_agent,
+    write_checkpoint,
     write_report,
 )
 from .evaluation.testcases import KINDS, TestCase
@@ -78,9 +79,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "effective_config.yaml")
 
-    trainer = build_trainer(cfg, variant, seed, out_dir)
-    # The periodic snapshot writer also writes the final and the interrupt snapshots.
-    write_checkpoint = trainer.settings.checkpoint_fn
+    trainer = build_trainer(cfg, variant, seed)
     if args.resume is not None:
         _check_resume_config(args.resume, cfg)
         load_trainer_into(args.resume, trainer)
@@ -89,11 +88,11 @@ def cmd_train(args) -> int:
         result = train_agent(trainer, cfg, variant, out_dir, until_step=args.until_step)
     except KeyboardInterrupt:
         # Safe interruption: freeze the full training state for --resume.
-        write_checkpoint(trainer)
+        write_checkpoint(trainer, cfg, out_dir)
         print(json.dumps({"interrupted_at_step": trainer.step,
                           "resume_from": str(out_dir / "checkpoint.npz")}), file=sys.stderr)
         return 130
-    write_checkpoint(trainer)
+    write_checkpoint(trainer, cfg, out_dir)
     print(f"trained {variant} for {trainer.step} steps "
           f"({len(result.curve)} episodes); artifacts in {out_dir}")
     return 0

@@ -253,19 +253,15 @@ class RunConfig:
             gamma=v["agent.gamma"],
         )
 
-    def train_settings(self, **overrides) -> TrainSettings:
+    def train_settings(self) -> TrainSettings:
         v = self.values
-        kw = dict(
+        return TrainSettings(
             total_steps=v["train.steps"],
             episode_steps=v["train.episode_steps"],
             noise_stiffness=v["agent.noise.stiffness"],
             noise_diffusion=v["agent.noise.diffusion"],
             noise_dt=v["train.sampling_time"],
-            progress_every=v["train.progress_every"],
-            checkpoint_every=v["train.checkpoint_every"],
         )
-        kw.update(overrides)
-        return TrainSettings(**kw)
 
     # -- io ---------------------------------------------------------------
 

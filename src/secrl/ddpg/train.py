@@ -8,8 +8,7 @@ shifts plant randomness.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from ..seeding import STREAM_EXPLORATION, STREAM_INIT, STREAM_REPLAY, derive_rng
 from .agent import AgentConfig, DdpgAgent, actor_update, critic_update, soft_update
 from .noise import OuNoise, noisy_action
 from .replay import Experience, ReplayBuffer
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -43,9 +40,6 @@ class TrainSettings:
     noise_stiffness: float = 31.58
     noise_diffusion: float = 2.6e-2
     noise_dt: float = 1e-4
-    progress_every: int = 0   # 0 disables progress logging
-    checkpoint_every: int = 0
-    checkpoint_fn: object = field(default=None, repr=False)
 
 
 class Trainer:
@@ -84,6 +78,9 @@ class Trainer:
         self.noise.reset()
 
     def run(self, until_step: int | None = None) -> TrainResult:
+        """Train up to `until_step` (capped at `total_steps`).  A run cut
+        into several calls is bit-identical to one call, so callers log
+        progress and write snapshots between calls."""
         cfg = self.agent.config
         s = self.settings
         stop_at = s.total_steps if until_step is None else min(until_step, s.total_steps)
@@ -120,12 +117,6 @@ class Trainer:
                     raise
                 soft_update(self.agent.critic_target, self.agent.critic, cfg.tau)
                 soft_update(self.agent.actor_target, self.agent.actor, cfg.tau)
-            if s.progress_every and self.step % s.progress_every == 0:
-                recent = self.curve[-1].mean_reward if self.curve else float("nan")
-                log.info("step %d/%d, episodes %d, last episode mean reward %.5f",
-                         self.step, s.total_steps, self.episode, recent)
-            if s.checkpoint_every and s.checkpoint_fn and self.step % s.checkpoint_every == 0:
-                s.checkpoint_fn(self)
         # Close out a partial episode in the returned curve only; the
         # trainer keeps in-flight accumulators so a resumed run continues
         # the episode instead of double-counting it.

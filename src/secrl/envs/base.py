@@ -115,6 +115,19 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def task_reward(ref: np.ndarray, meas: np.ndarray, limit: float, gamma: float) -> float | np.ndarray:
+    """Mean root error over the channels; each channel's error ratio
+    saturates at 1, so the per-step reward stays within [-(1-gamma), 0].
+
+    A float for one measurement (d,); for a stack (k, d), the k rewards,
+    each bit-equal to that row's float."""
+    ratio = np.abs(np.subtract(ref, meas))
+    ratio /= limit
+    np.minimum(ratio, 1.0, out=ratio)
+    reward = -(1.0 - gamma) / ratio.shape[-1] * np.sqrt(ratio, out=ratio).sum(axis=-1)
+    return float(reward) if reward.ndim == 0 else reward
+
+
 class PlantEnv:
     """Episode core of a plant driven by modulation indices in [-1, 1]^m
     through one control period of actuation dead time.  A plant sets `name`

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import ConfigurationError, EnvironmentFault
 from ..seeding import STREAM_LOAD, STREAM_NOISE, derive_rng
-from .base import HistoryRing, LtiStepper, PlantEnv, read_only
+from .base import HistoryRing, LtiStepper, PlantEnv, read_only, task_reward
 
 R_LOAD_MIN = 14.0
 R_LOAD_MAX = 200.0
@@ -74,19 +74,7 @@ class GridParams:
         return np.array([self.v_nom, 0.0, 0.0])
 
 
-def grid_task_reward(
-    v_ref: np.ndarray, v_meas: np.ndarray, v_lim: float, gamma: float,
-) -> float | np.ndarray:
-    """Mean root error over dq0; each channel's error ratio saturates at 1
-    so the per-step reward stays within [-(1-gamma), 0].
-
-    A float for one measurement (3,); for a stack (k, 3), the k rewards,
-    each bit-equal to that row's float."""
-    ratio = np.abs(np.subtract(v_ref, v_meas))
-    ratio /= v_lim
-    np.minimum(ratio, 1.0, out=ratio)
-    reward = -(1.0 - gamma) / 3.0 * np.sqrt(ratio, out=ratio).sum(axis=-1)
-    return float(reward) if reward.ndim == 0 else reward
+grid_task_reward = task_reward  # over the dq0 voltages
 
 
 class LoadProcess:
@@ -337,7 +325,7 @@ class GridEnv(PlantEnv):
         observation."""
         violation = self._transition(u)
         self._last_meas = v_meas, i_meas = self._measure()
-        reward = (grid_task_reward(self._v_ref, v_meas, self.params.v_lim, self.gamma)
+        reward = (task_reward(self._v_ref, v_meas, self.params.v_lim, self.gamma)
                   if scored else None)
         return v_meas, i_meas, reward, violation
 

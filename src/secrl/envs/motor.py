@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import ConfigurationError, EnvironmentFault
 from ..seeding import STREAM_ENV, derive_rng
-from .base import HistoryRing, LtiStepper, PlantEnv, read_only
+from .base import HistoryRing, LtiStepper, PlantEnv, read_only, task_reward
 
 
 @dataclass
@@ -48,12 +48,7 @@ class MotorParams:
             raise ConfigurationError("reference_hold_prob must be in [0, 1)")
 
 
-def motor_task_reward(i_ref: np.ndarray, i_meas: np.ndarray, i_lim: float, gamma: float) -> float:
-    """Mean root error over dq; error ratios saturate at 1 (see grid)."""
-    ratio = np.abs(np.subtract(i_ref, i_meas))
-    ratio /= i_lim
-    np.minimum(ratio, 1.0, out=ratio)
-    return float(-(1.0 - gamma) / 2.0 * np.sqrt(ratio, out=ratio).sum())
+motor_task_reward = task_reward  # over the dq currents
 
 
 class ReferenceGenerator:
@@ -159,7 +154,7 @@ class MotorEnv(PlantEnv):
         and None stands in for each (also in info["task_reward"])."""
         violation, terminal = self._settle(self._transition(u))
         i_meas = self._x.copy()
-        reward = (motor_task_reward(self.i_ref, i_meas, self.params.i_lim, self.gamma)
+        reward = (task_reward(self.i_ref, i_meas, self.params.i_lim, self.gamma)
                   if scored else None)
         obs = self._observe((i_meas,), raw_p, raw_i, observed)
         info = {

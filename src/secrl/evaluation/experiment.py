@@ -250,31 +250,51 @@ def eval_seed_for(case: TestCase, run_seed: int) -> int:
     return 1_000_003 * case.seed + run_seed
 
 
-def build_trainer(cfg: RunConfig, variant: str, seed: int, out_dir: Path) -> Trainer:
-    """A fresh trainer for one agent variant.  Its ``checkpoint_fn`` writes
-    the resumable snapshot ``<out_dir>/checkpoint.npz``; the trainer calls
-    it every ``train.checkpoint_every`` steps."""
+def build_trainer(cfg: RunConfig, variant: str, seed: int) -> Trainer:
+    """A fresh trainer for one agent variant."""
     wrapped = build_training_env(cfg, variant, seed)
-    path = out_dir / "checkpoint.npz"
-    config_echo = json.loads(cfg.to_json())
-
-    def checkpoint_fn(trainer):
-        save_trainer(path, trainer, config_echo=config_echo)
-        log.info("checkpoint written at step %d", trainer.step)
-
-    settings = cfg.train_settings(checkpoint_fn=checkpoint_fn)
     # The wrapper's action width is the actor's: m plant channels, or 2m with SEC.
-    return Trainer(wrapped, cfg.agent_config(wrapped.obs_dim, wrapped.action_dim), settings, seed)
+    return Trainer(wrapped, cfg.agent_config(wrapped.obs_dim, wrapped.action_dim),
+                   cfg.train_settings(), seed)
+
+
+def write_checkpoint(trainer: Trainer, cfg: RunConfig, out_dir: Path) -> None:
+    """The resumable snapshot ``<out_dir>/checkpoint.npz``, with the config
+    echo that ``--resume`` checks."""
+    save_trainer(out_dir / "checkpoint.npz", trainer, config_echo=json.loads(cfg.to_json()))
+    log.info("checkpoint written at step %d", trainer.step)
 
 
 def train_agent(trainer: Trainer, cfg: RunConfig, variant: str, out_dir: Path,
                 until_step: int | None = None) -> TrainResult:
     """Run `trainer` and write the run's artifacts to `out_dir`:
     ``agent.npz``, ``learning_curve.csv`` and ``events.json``.  A run that
-    raises (a fault or an interrupt) still leaves its ``events.json``."""
+    raises (a fault or an interrupt) still leaves its ``events.json``.
+
+    At every multiple of ``train.progress_every`` the run logs a progress
+    line, and at every multiple of ``train.checkpoint_every`` it writes
+    ``checkpoint.npz`` (``write_checkpoint``); the trainer runs from one
+    such step to the next, which leaves its results unchanged."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    total = trainer.settings.total_steps
+    stop_at = total if until_step is None else until_step
+    progress_every, checkpoint_every = cfg["train.progress_every"], cfg["train.checkpoint_every"]
+    cadences = [n for n in (progress_every, checkpoint_every) if n]
     try:
-        result = trainer.run(until_step=until_step)
+        while True:
+            start = trainer.step
+            # Run to the next multiple of a cadence, or to the stop.
+            boundary = min([stop_at, *((start // n + 1) * n for n in cadences)])
+            result = trainer.run(until_step=boundary)
+            step = trainer.step
+            if step == start:
+                break
+            if progress_every and step % progress_every == 0:
+                recent = trainer.curve[-1].mean_reward if trainer.curve else float("nan")
+                log.info("step %d/%d, episodes %d, last episode mean reward %.5f",
+                         step, total, trainer.episode, recent)
+            if checkpoint_every and step % checkpoint_every == 0:
+                write_checkpoint(trainer, cfg, out_dir)
     finally:
         (out_dir / "events.json").write_text(json.dumps(trainer.events, indent=1))
     save_agent(out_dir / "agent.npz", result.agent, extra={
@@ -333,7 +353,7 @@ def _run_one(cfg: RunConfig, variant: str, seed: int, run_dir: Path, cases: list
     t0 = time.perf_counter()
     try:
         if variant in RL_VARIANTS:
-            trainer = build_trainer(cfg, variant, seed, run_dir)
+            trainer = build_trainer(cfg, variant, seed)
             t_train = time.perf_counter()
             result = train_agent(trainer, cfg, variant, run_dir)
             record["train_seconds"] = time.perf_counter() - t_train

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import ConfigurationError
+from ..checkpoint import READ_ERRORS
 from ..envs.grid import R_LOAD_MAX, R_LOAD_MIN, seeded_load_series
 from ..seeding import STREAM_ENV, derive_rng
 
@@ -62,12 +63,17 @@ class TestCase:
 
     @classmethod
     def load(cls, path: str | Path) -> "TestCase":
-        data = np.load(path, allow_pickle=False)
-        meta = json.loads(str(data["meta"]))
-        return cls(
-            kind=meta["kind"], seed=meta["seed"], duration=meta["duration"],
-            segment_length=meta["segment_length"], payload=data["payload"],
-        )
+        """The saved case; an unreadable or malformed file raises
+        ConfigurationError."""
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                meta = json.loads(str(data["meta"]))
+                return cls(
+                    kind=meta["kind"], seed=meta["seed"], duration=meta["duration"],
+                    segment_length=meta["segment_length"], payload=data["payload"],
+                )
+        except READ_ERRORS as exc:
+            raise ConfigurationError(f"cannot read test case {path}: {exc}") from exc
 
 
 def gen_grid_testcase(seed: int, steps: int = 100_000, dt: float = 1e-4) -> TestCase:

@@ -263,6 +263,20 @@ def test_corrupt_agent_members_are_configuration_errors(tmp_path, damage, messag
 
 
 @pytest.mark.parametrize("change, message", [
+    ({"critic_hidden": [9]}, r"network critic: layers \[5, 8, 1\], .* expected layers \[5, 9, 1\]"),
+    ({"optimizer": "sgd"}, "optimizer aopt: adam, expected SgdState"),
+])
+def test_load_agent_refuses_networks_that_disagree_with_its_config(tmp_path, change, message):
+    cfg = AgentConfig(obs_dim=3, action_dim=2, actor_hidden=[6], critic_hidden=[8],
+                      batch_size=4, buffer_capacity=16)
+    agent = DdpgAgent(cfg, derive_rng(4, 0))
+    agent.config = AgentConfig(**{**vars(cfg), **change})
+    save_agent(tmp_path / "agent.npz", agent)
+    with pytest.raises(ConfigurationError, match=message):
+        load_agent(tmp_path / "agent.npz")
+
+
+@pytest.mark.parametrize("change, message", [
     ({"critic_hidden": [24]}, r"network critic: layers \[39, 16, 1\], .* expected layers \[39, 24, 1\]"),
     ({"beta_actor": 0.5}, r"network actor: .*beta 0.208, .* expected .*beta 0.5"),
     ({"optimizer": "sgd"}, "optimizer aopt: adam, expected SgdState"),

@@ -217,6 +217,26 @@ def test_truncated_checkpoints_exit_with_configuration_error(paused_run, tmp_pat
     assert "cannot read checkpoint" in _error_record(capsys)["message"]
 
 
+@pytest.mark.parametrize("damage", ["junk", "no-meta"])
+def test_unreadable_testcase_exits_with_configuration_error(
+        paused_run, tmp_path, capsys, damage):
+    root, _, case_path = paused_run
+    bad = tmp_path / "case.npz"
+    if damage == "junk":
+        bad.write_bytes(b"not a test case\n" * 64)
+    else:
+        with np.load(case_path, allow_pickle=False) as data:
+            np.savez(bad, payload=data["payload"])
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(root / "head" / "agent.npz"),
+               "--testcase", str(bad), "--override", "env.kind=motor",
+               "--out", str(tmp_path / "evalout")])
+    assert rc == 2
+    err = _error_record(capsys)
+    assert err["error"] == "configuration"
+    assert f"cannot read test case {bad}" in err["message"]
+
+
 @pytest.mark.parametrize("damage, message", [
     ("shape", "checkpoint member actor_w1: float64(4, 9), expected float64(4, 10)"),
     ("nan", "non-finite network parameters"),

@@ -1,6 +1,8 @@
 """Experiment orchestration: rollouts, zero-step runs, report cardinality."""
 
 import json
+import logging
+import re
 import sys
 
 import numpy as np
@@ -208,12 +210,11 @@ class TestCompareRunArtifacts:
         for variant in ("ddpg", "sec-ddpg"):
             run_dir = tmp_path / f"{variant}-seed2"
             assert (run_dir / "checkpoint.npz").is_file()
-            trainer = experiment.build_trainer(cfg, variant, 2, tmp_path / "fresh")
+            trainer = experiment.build_trainer(cfg, variant, 2)
             load_trainer_into(run_dir / "checkpoint.npz", trainer)
             assert trainer.step == 120
             agent, _ = load_agent(run_dir / "agent.npz")
             assert np.array_equal(trainer.agent.actor.flat(), agent.actor.flat())
-        assert not (tmp_path / "fresh").exists()
 
     def test_failed_training_run_keeps_its_event_log(self, tmp_path, monkeypatch):
         # `secrl.ddpg.train` as an attribute is the re-exported function.
@@ -233,3 +234,40 @@ class TestCompareRunArtifacts:
         assert [e["kind"] for e in events] == ["training_fault"]
         assert events[0]["detail"] == "injected critic fault"
         assert not (tmp_path / "sec-ddpg-seed1" / "agent.npz").exists()
+
+
+class TestTrainCadences:
+    TRAIN = {"train.steps": 120, "train.episode_steps": 50, "agent.batch_size": 16}
+    CADENCES = {"train.progress_every": 25, "train.checkpoint_every": 40}
+
+    @pytest.mark.parametrize("variant", ["ddpg", "sec-ddpg"])
+    def test_cadences_leave_the_run_artifacts_unchanged(self, tmp_path, variant):
+        for name, cadences in (("plain", {}), ("cadenced", self.CADENCES)):
+            cfg = motor_cfg(**self.TRAIN, **cadences)
+            experiment.train_agent(experiment.build_trainer(cfg, variant, 3), cfg, variant,
+                                   tmp_path / name)
+        plain, cadenced = tmp_path / "plain", tmp_path / "cadenced"
+        assert (cadenced / "checkpoint.npz").is_file()
+        assert not (plain / "checkpoint.npz").exists()
+        with np.load(plain / "agent.npz") as a, np.load(cadenced / "agent.npz") as b:
+            assert a.files == b.files
+            for key in a.files:
+                assert a[key].dtype == b[key].dtype, key
+                assert a[key].tobytes() == b[key].tobytes(), key
+        for name in ("learning_curve.csv", "events.json"):
+            assert (plain / name).read_bytes() == (cadenced / name).read_bytes()
+
+    def test_progress_and_snapshots_fall_on_their_multiples(self, tmp_path, caplog):
+        cfg = motor_cfg(**self.TRAIN, **self.CADENCES)
+        trainer = experiment.build_trainer(cfg, "sec-ddpg", 3)
+        with caplog.at_level(logging.INFO, logger=experiment.__name__):
+            # A pause on a progress multiple, then the rest of the run.
+            experiment.train_agent(trainer, cfg, "sec-ddpg", tmp_path, until_step=50)
+            experiment.train_agent(trainer, cfg, "sec-ddpg", tmp_path)
+        messages = [r.getMessage() for r in caplog.records if r.name == experiment.__name__]
+        progress = [int(m[1]) for m in map(re.compile(r"step (\d+)/120, ").match, messages) if m]
+        snapshots = [int(m[1]) for m in map(re.compile(r"checkpoint written at step (\d+)$").match,
+                                            messages) if m]
+        assert progress == [25, 50, 75, 100]
+        assert snapshots == [40, 80, 120]
+        assert len(progress) + len(snapshots) == len(messages)
