@@ -21,7 +21,6 @@ import numpy as np
 from . import ConfigurationError
 from .ddpg.agent import AgentConfig, DdpgAgent
 from .nn.mlp import MlpParams
-from .nn.optim import AdamState, RmsPropState, SgdState
 
 FORMAT_VERSION = 1
 _READ_CHUNK = 1 << 18  # bytes
@@ -153,45 +152,32 @@ def load_network(path: str | Path) -> MlpParams:
 
 # -- optimizer states ------------------------------------------------------
 
-# kind -> (state class, {array key code: per-layer view list}, scalar fields)
-_OPTIMIZERS = {
-    "adam": (AdamState, {"mw": "m_w", "mb": "m_b", "vw": "v_w", "vb": "v_b"},
-             ("step", "beta1", "beta2", "eps")),
-    "sgd": (SgdState, {"vw": "vel_w", "vb": "vel_b"}, ("momentum",)),
-    "rmsprop": (RmsPropState, {"sw": "sq_w", "sb": "sq_b"}, ("rho", "eps")),
-}
-
-
-def _moment_members(prefix: str, lists: dict, state):
-    """``(member name, per-layer moment view)`` of ``state``, in file order."""
-    per_layer = [getattr(state, name) for name in lists.values()]
-    for j in range(len(per_layer[0])):
-        for code, views in zip(lists, per_layer):
+def _moment_members(prefix: str, state):
+    """``(member name, per-layer moment view)`` of ``state``, in file order:
+    per layer, each moment's weights then biases, coded by the moment's
+    first letter (``aopt_mw0``, ``aopt_mb0``, ``aopt_vw0``, ...)."""
+    lists = [(name[0] + part, getattr(state, f"{name}_{part}"))
+             for name in state.MOMENTS for part in "wb"]
+    for j in range(len(state.layer_sizes) - 1):
+        for code, views in lists:
             yield f"{prefix}_{code}{j}", views[j]
 
 
 def _pack_optimizer(prefix: str, state, arrays: dict) -> dict:
-    for kind, (cls, lists, scalars) in _OPTIMIZERS.items():
-        if isinstance(state, cls):
-            members = dict(_moment_members(prefix, lists, state))
-            arrays.update(members)
-            return {"kind": kind, **{k: getattr(state, k) for k in scalars},
-                    "layers": len(members) // len(lists)}
-    raise ConfigurationError(f"unknown optimizer state {type(state)!r}")
+    arrays.update(_moment_members(prefix, state))
+    return {"kind": state.KIND, **{k: getattr(state, k) for k in state.SCALARS},
+            "layers": len(state.layer_sizes) - 1}
 
 
 def _unpack_optimizer(prefix: str, meta: dict, data, state) -> None:
     """Read the stored optimizer state into ``state``'s moments; a stored
     optimizer of another kind raises ConfigurationError."""
-    if meta["kind"] not in _OPTIMIZERS:
-        raise ConfigurationError(f"unknown optimizer kind {meta['kind']!r}")
-    cls, lists, scalars = _OPTIMIZERS[meta["kind"]]
-    if not isinstance(state, cls):
+    if meta["kind"] != state.KIND:
         raise ConfigurationError(
             f"checkpoint optimizer {prefix}: {meta['kind']}, expected {type(state).__name__}")
-    for k in scalars:
+    for k in state.SCALARS:
         setattr(state, k, meta[k])
-    for key, view in _moment_members(prefix, lists, state):
+    for key, view in _moment_members(prefix, state):
         _read_into(data, key, view)
 
 

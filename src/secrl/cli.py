@@ -84,6 +84,7 @@ def cmd_train(args) -> int:
         _check_resume_config(args.resume, cfg)
         load_trainer_into(args.resume, trainer)
         log.info("resumed from %s at step %d", args.resume, trainer.step)
+    start = trainer.step
     try:
         result = train_agent(trainer, cfg, variant, out_dir, until_step=args.until_step)
     except KeyboardInterrupt:
@@ -92,7 +93,10 @@ def cmd_train(args) -> int:
         print(json.dumps({"interrupted_at_step": trainer.step,
                           "resume_from": str(out_dir / "checkpoint.npz")}), file=sys.stderr)
         return 130
-    write_checkpoint(trainer, cfg, out_dir)
+    # A stop on the checkpoint cadence that this call reached was just written.
+    every = cfg["train.checkpoint_every"]
+    if trainer.step == start or not every or trainer.step % every:
+        write_checkpoint(trainer, cfg, out_dir)
     print(f"trained {variant} for {trainer.step} steps "
           f"({len(result.curve)} episodes); artifacts in {out_dir}")
     return 0

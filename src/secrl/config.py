@@ -22,6 +22,7 @@ from .ddpg.agent import AgentConfig
 from .ddpg.train import TrainSettings
 from .envs.grid import GridParams
 from .envs.motor import MotorParams
+from .nn.optim import OPTIMIZERS
 from .sec import SecRewardConfig
 
 FULL_SCALE_STEPS = 5_000_000
@@ -126,7 +127,7 @@ SCHEMA: dict[str, _Key] = {
     "agent.lr_final": _Key(3.13e-4, _FLOAT, lo=1e-12, hi=5e-2),
     "agent.lr_decay_start": _Key(1_375_000, _INT, lo=0, scaled_by_horizon=True),
     "agent.lr_decay_end": _Key(1_620_000, _INT, lo=0, scaled_by_horizon=True),
-    "agent.optimizer": _Key("adam", _STR, choices=("adam", "sgd", "rmsprop")),
+    "agent.optimizer": _Key("adam", _STR, choices=tuple(OPTIMIZERS)),
     "agent.buffer_size": _Key(3_870_000, _INT, lo=20_000),
     "agent.batch_size": _Key(261, _INT, lo=16, hi=1024),
     "agent.tau": _Key(2.61e-3, _FLOAT, lo=1e-4, hi=3e-1),
@@ -182,9 +183,6 @@ class RunConfig:
     def __getitem__(self, key: str):
         if key in self.derived:
             return self.derived[key]
-        return self.values[key]
-
-    def raw(self, key: str):
         return self.values[key]
 
     def _derive(self) -> dict:

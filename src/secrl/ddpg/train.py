@@ -167,8 +167,3 @@ class Trainer:
             self.env.load_state_dict(state["env"])
         if state.get("inner_env") is not None:
             self.env.env.load_state_dict(state["inner_env"])
-
-
-def train(env, agent_config: AgentConfig, settings: TrainSettings, seed: int) -> TrainResult:
-    """Run a fresh training loop to completion."""
-    return Trainer(env, agent_config, settings, seed).run()

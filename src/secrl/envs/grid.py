@@ -74,9 +74,6 @@ class GridParams:
         return np.array([self.v_nom, 0.0, 0.0])
 
 
-grid_task_reward = task_reward  # over the dq0 voltages
-
-
 class LoadProcess:
     """Mean-reverting random walk on the load resistance.
 

@@ -48,9 +48,6 @@ class MotorParams:
             raise ConfigurationError("reference_hold_prob must be in [0, 1)")
 
 
-motor_task_reward = task_reward  # over the dq currents
-
-
 class ReferenceGenerator:
     """Uniform draws from the feasible current disc |i*| <= radius*i_lim,
     held with a configurable per-step probability."""

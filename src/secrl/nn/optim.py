@@ -2,26 +2,55 @@
 
 All optimizers minimize: they step along the negative gradient.  Callers
 that maximize pass the negated gradient.  Each moment is one flat vector in
-the parameter layout, so every step is a handful of whole-vector operations;
-the per-layer ``*_w``/``*_b`` lists are views for inspection and
-checkpoints.
+the parameter layout and of the parameters' dtype, so every step is a
+handful of whole-vector operations; the per-layer ``*_w``/``*_b`` lists are
+views for inspection and checkpoints.
+
+Each state class declares its ``KIND`` (the ``agent.optimizer`` name), its
+``MOMENTS`` (flat vector fields) and its ``SCALARS`` (the fields a
+checkpoint stores beside the moments); ``OPTIMIZERS`` maps kinds to classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .. import ConfigurationError, TrainingFault
-from .mlp import DTYPE, MlpParams, ParamGrads, layer_views
+from .mlp import MlpParams, ParamGrads, layer_views
 
 
 @dataclass
-class AdamState:
-    """Bias-corrected Adam moments (defaults 0.9 / 0.999 / 1e-8)."""
+class _MomentState:
+    """Moment vectors in the layout of ``layer_sizes``, with per-layer
+    ``<moment>_w``/``<moment>_b`` views."""
 
     layer_sizes: list[int]
+
+    KIND: ClassVar[str]
+    MOMENTS: ClassVar[tuple[str, ...]]
+    SCALARS: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self):
+        for name in self.MOMENTS:
+            w, b = layer_views(getattr(self, name), self.layer_sizes)
+            setattr(self, f"{name}_w", w)
+            setattr(self, f"{name}_b", b)
+
+    @classmethod
+    def for_params(cls, params: MlpParams, **scalars):
+        """Zero moments shaped and typed like ``params``.  ``np.zeros``
+        rather than ``np.zeros_like``, which writes every page up front."""
+        zeros = [np.zeros(params.data.shape, params.data.dtype) for _ in cls.MOMENTS]
+        return cls(params.layer_sizes, *zeros, **scalars)
+
+
+@dataclass
+class AdamState(_MomentState):
+    """Bias-corrected Adam moments (defaults 0.9 / 0.999 / 1e-8)."""
+
     m: np.ndarray
     v: np.ndarray
     step: int = 0
@@ -29,62 +58,79 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def __post_init__(self):
-        self.m_w, self.m_b = layer_views(self.m, self.layer_sizes)
-        self.v_w, self.v_b = layer_views(self.v, self.layer_sizes)
+    KIND = "adam"
+    MOMENTS = ("m", "v")
+    SCALARS = ("step", "beta1", "beta2", "eps")
 
-    @classmethod
-    def for_params(cls, params: MlpParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        n = params.data.size
-        return cls(params.layer_sizes, np.zeros(n, DTYPE), np.zeros(n, DTYPE),
-                   beta1=beta1, beta2=beta2, eps=eps)
+    def update(self, p: np.ndarray, g: np.ndarray, lr: float) -> None:
+        # In-place with one scratch vector; this runs twice per training
+        # tick over every parameter, so temporaries matter.
+        self.step += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.step
+        c2 = 1.0 - b2 ** self.step
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        scratch = np.square(g)
+        scratch *= 1.0 - b2
+        v += scratch
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        np.divide(m, scratch, out=scratch)
+        scratch *= lr / c1
+        p -= scratch
 
 
 @dataclass
-class SgdState:
+class SgdState(_MomentState):
     """Plain gradient descent; optional classical momentum."""
 
-    layer_sizes: list[int]
     vel: np.ndarray
     momentum: float = 0.0
 
-    def __post_init__(self):
-        self.vel_w, self.vel_b = layer_views(self.vel, self.layer_sizes)
+    KIND = "sgd"
+    MOMENTS = ("vel",)
+    SCALARS = ("momentum",)
 
-    @classmethod
-    def for_params(cls, params: MlpParams, momentum: float = 0.0) -> "SgdState":
-        return cls(params.layer_sizes, np.zeros(params.data.size, DTYPE), momentum=momentum)
+    def update(self, p: np.ndarray, g: np.ndarray, lr: float) -> None:
+        if self.momentum > 0.0:
+            self.vel *= self.momentum
+            self.vel += g
+            p -= lr * self.vel
+        else:
+            p -= lr * g
 
 
 @dataclass
-class RmsPropState:
+class RmsPropState(_MomentState):
     """RMSprop running mean of squared gradients."""
 
-    layer_sizes: list[int]
     sq: np.ndarray
     rho: float = 0.99
     eps: float = 1e-8
 
-    def __post_init__(self):
-        self.sq_w, self.sq_b = layer_views(self.sq, self.layer_sizes)
+    KIND = "rmsprop"
+    MOMENTS = ("sq",)
+    SCALARS = ("rho", "eps")
 
-    @classmethod
-    def for_params(cls, params: MlpParams, rho: float = 0.99, eps: float = 1e-8) -> "RmsPropState":
-        return cls(params.layer_sizes, np.zeros(params.data.size, DTYPE), rho=rho, eps=eps)
+    def update(self, p: np.ndarray, g: np.ndarray, lr: float) -> None:
+        self.sq *= self.rho
+        self.sq += (1.0 - self.rho) * g * g
+        p -= lr * g / (np.sqrt(self.sq) + self.eps)
 
 
 OptimizerState = AdamState | SgdState | RmsPropState
+OPTIMIZERS = {cls.KIND: cls for cls in (AdamState, SgdState, RmsPropState)}
 
 
 def make_optimizer(kind: str, params: MlpParams) -> OptimizerState:
     kind = kind.lower()
-    if kind == "adam":
-        return AdamState.for_params(params)
-    if kind == "sgd":
-        return SgdState.for_params(params)
-    if kind == "rmsprop":
-        return RmsPropState.for_params(params)
-    raise ConfigurationError(f"unknown optimizer {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ConfigurationError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind].for_params(params)
 
 
 def optimizer_step(state: OptimizerState, params: MlpParams, grads: ParamGrads, lr: float) -> None:
@@ -93,41 +139,4 @@ def optimizer_step(state: OptimizerState, params: MlpParams, grads: ParamGrads, 
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     if not grads.is_finite():
         raise TrainingFault("non-finite gradient passed to optimizer")
-    p, g = params.data, grads.data
-    if isinstance(state, AdamState):
-        _adam_step(state, p, g, lr)
-    elif isinstance(state, SgdState):
-        if state.momentum > 0.0:
-            state.vel *= state.momentum
-            state.vel += g
-            p -= lr * state.vel
-        else:
-            p -= lr * g
-    elif isinstance(state, RmsPropState):
-        state.sq *= state.rho
-        state.sq += (1.0 - state.rho) * g * g
-        p -= lr * g / (np.sqrt(state.sq) + state.eps)
-    else:  # pragma: no cover
-        raise ConfigurationError(f"unknown optimizer state {type(state)!r}")
-
-
-def _adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float) -> None:
-    # In-place with one scratch vector; this runs twice per training tick
-    # over every parameter, so temporaries matter.
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    m, v = state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    scratch = np.square(g)
-    scratch *= 1.0 - b2
-    v += scratch
-    np.divide(v, c2, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.eps
-    np.divide(m, scratch, out=scratch)
-    scratch *= lr / c1
-    p -= scratch
+    state.update(params.data, grads.data, lr)

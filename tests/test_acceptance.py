@@ -15,8 +15,9 @@ from secrl.ddpg.agent import AgentConfig, DdpgAgent, critic_targets, soft_update
 from secrl.ddpg.noise import OuNoise
 from secrl.ddpg.replay import Experience, ReplayBuffer
 from secrl.ddpg.train import Trainer, TrainSettings
-from secrl.envs.grid import GridEnv, GridParams, LoadProcess, grid_task_reward
-from secrl.envs.motor import MotorEnv, MotorParams, motor_task_reward
+from secrl.envs.base import task_reward
+from secrl.envs.grid import GridEnv, GridParams, LoadProcess
+from secrl.envs.motor import MotorEnv, MotorParams
 from secrl.evaluation.experiment import (
     ControllerPolicy,
     build_eval_env,
@@ -391,11 +392,11 @@ class TestCriterion7BoundedReturn:
             r_i = sec_penalty(u_i, ki, GAMMA, 3)
             # Task rewards from both plants at arbitrary error magnitudes.
             v = rng.uniform(-600, 600, size=3)
-            r_task = grid_task_reward(np.array([169.7, 0, 0]), v, 254.56, GAMMA)
+            r_task = task_reward(np.array([169.7, 0, 0]), v, 254.56, GAMMA)
             r = combine_reward(r_task, r_p, r_i, kp, ki)
             assert worst - 1e-12 <= r <= 0.0
             i = rng.uniform(-60, 60, size=2)
-            r_task_m = motor_task_reward(np.zeros(2), i, 20.0, GAMMA)
+            r_task_m = task_reward(np.zeros(2), i, 20.0, GAMMA)
             r = combine_reward(r_task_m, sec_penalty(u_p[:2], kp, GAMMA, 2),
                                sec_penalty(u_i[:2], ki, GAMMA, 2), kp, ki)
             assert worst - 1e-12 <= r <= 0.0

@@ -16,7 +16,7 @@ from secrl.checkpoint import (
     save_network,
     save_trainer,
 )
-from secrl.ddpg.agent import AgentConfig, DdpgAgent, critic_update
+from secrl.ddpg.agent import AgentConfig, DdpgAgent, actor_update, critic_update
 from secrl.nn.mlp import mlp_forward, mlp_init
 from secrl.seeding import derive_rng
 
@@ -66,6 +66,42 @@ def test_agent_roundtrip_preserves_optimizer_state(tmp_path):
     critic_update(agent, batch, lr=1e-3)
     critic_update(loaded, batch, lr=1e-3)
     assert np.array_equal(loaded.critic.flat(), agent.critic.flat())
+
+
+@pytest.mark.parametrize("kind, moment, scalars", [
+    ("sgd", "vel", {"momentum": 0.9}),
+    ("rmsprop", "sq", {"rho": 0.95, "eps": 1e-6}),
+])
+def test_sgd_and_rmsprop_agents_roundtrip(tmp_path, kind, moment, scalars):
+    cfg = AgentConfig(obs_dim=3, action_dim=2, actor_hidden=[6], critic_hidden=[8],
+                      batch_size=4, buffer_capacity=16, weight_scale=0.3, bias_scale=0.3,
+                      optimizer=kind)
+    agent = DdpgAgent(cfg, derive_rng(4, 0))
+    # Scalars off their defaults, so the loaded values must come from the file.
+    for state in (agent.actor_opt, agent.critic_opt):
+        vars(state).update(scalars)
+    rng = derive_rng(5, 0)
+    batch = (
+        rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 2)),
+        rng.uniform(-1, 0, 4), rng.uniform(-1, 1, (4, 3)), np.zeros(4),
+    )
+    for _ in range(3):
+        critic_update(agent, batch, lr=1e-3)
+        actor_update(agent, batch, lr=1e-3)
+    save_agent(tmp_path / "agent.npz", agent)
+    loaded, _ = load_agent(tmp_path / "agent.npz")
+    for name in ("actor_opt", "critic_opt"):
+        a, b = getattr(agent, name), getattr(loaded, name)
+        assert type(b) is type(a)
+        assert {k: getattr(b, k) for k in scalars} == scalars
+        assert np.any(getattr(a, moment) != 0.0)
+        assert getattr(b, moment).tobytes() == getattr(a, moment).tobytes()
+    # One further update on each copy stays bit-equal.
+    critic_update(agent, batch, lr=1e-3)
+    critic_update(loaded, batch, lr=1e-3)
+    assert loaded.critic.flat().tobytes() == agent.critic.flat().tobytes()
+    assert (getattr(loaded.critic_opt, moment).tobytes()
+            == getattr(agent.critic_opt, moment).tobytes())
 
 
 def test_unsupported_version_rejected(tmp_path):

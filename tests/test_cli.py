@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, artifacts, exit codes, resume."""
 
 import json
+import logging
+import re
 import subprocess
 import sys
 
@@ -310,7 +312,6 @@ def test_stopped_train_keeps_event_log(tmp_path, capsys, monkeypatch, stop, rc):
     def stopping_update(agent, batch, lr):
         raise stop
 
-    # `secrl.ddpg.train` as an attribute is the re-exported function.
     monkeypatch.setattr(sys.modules["secrl.ddpg.train"], "critic_update", stopping_update)
     out = tmp_path / "run"
     capsys.readouterr()
@@ -396,3 +397,39 @@ def test_corrupt_replay_ring_exits_with_configuration_error(
     err = _error_record(capsys)
     assert err["error"] == "configuration"
     assert message in err["message"]
+
+
+def _snapshot_steps(caplog) -> list[int]:
+    """Steps of the "checkpoint written" log lines, in order."""
+    lines = map(re.compile(r"checkpoint written at step (\d+)$").match,
+                (r.getMessage() for r in caplog.records))
+    return [int(m[1]) for m in lines if m]
+
+
+def _snapshot_step(path) -> int:
+    with np.load(path) as data:
+        return json.loads(str(data["meta"]))["trainer_state"]["step"]
+
+
+@pytest.mark.parametrize("steps, written", [(120, [40, 80, 120]), (100, [40, 80, 100])])
+def test_train_writes_each_snapshot_once(tmp_path, caplog, steps, written):
+    # A stop on the checkpoint cadence is written by the cadence alone; a
+    # stop off it still gets its final snapshot.
+    out = tmp_path / "run"
+    with caplog.at_level(logging.INFO, logger="secrl"):
+        assert main(["train", "--out", str(out), "--override", "env.kind=motor", *FAST_TRAIN,
+                     "--override", f"train.steps={steps}",
+                     "--override", "train.checkpoint_every=40"]) == 0
+    assert _snapshot_steps(caplog) == written
+    assert _snapshot_step(out / "checkpoint.npz") == steps
+
+
+def test_resume_at_the_stop_still_writes_its_snapshot(tmp_path, caplog):
+    base = ["--override", "env.kind=motor", *FAST_TRAIN, "--override", "train.checkpoint_every=40"]
+    assert main(["train", "--out", str(tmp_path / "done"), *base]) == 0
+    out = tmp_path / "again"
+    with caplog.at_level(logging.INFO, logger="secrl"):
+        assert main(["train", "--out", str(out), *base,
+                     "--resume", str(tmp_path / "done" / "checkpoint.npz")]) == 0
+    assert _snapshot_steps(caplog) == [120]
+    assert _snapshot_step(out / "checkpoint.npz") == 120

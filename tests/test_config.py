@@ -32,7 +32,7 @@ class TestDefaults:
         assert cfg["agent.actor.units"] == 25
         assert cfg["agent.critic.layers"] == 4
         assert cfg["agent.critic.units"] == 295
-        assert cfg.raw("agent.buffer_size") == 3_870_000
+        assert cfg.values["agent.buffer_size"] == 3_870_000
         assert cfg["train.schedule_horizon"] == FULL_SCALE_STEPS
 
     def test_schedule_rescaling_proportional_to_horizon(self):

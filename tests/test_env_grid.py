@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from secrl import ConfigurationError, EnvironmentFault
-from secrl.envs.base import LtiStepper
+from secrl.envs.base import LtiStepper, task_reward
 from secrl.envs.grid import (
     DRIFT_STEPS_RANGE,
     LOAD_DIFFUSION_RANGE,
@@ -17,7 +17,6 @@ from secrl.envs.grid import (
     GridEnv,
     GridParams,
     LoadProcess,
-    grid_task_reward,
     seeded_load_series,
 )
 from secrl.evaluation.testcases import gen_grid_testcase, gen_steadystate_testcase
@@ -315,18 +314,18 @@ class TestFeaturesAndReward:
     def test_reward_values(self):
         p = GridParams()
         ref = p.v_ref
-        assert grid_task_reward(ref, ref, p.v_lim, 0.946) == 0.0
+        assert task_reward(ref, ref, p.v_lim, 0.946) == 0.0
         v = ref - np.array([p.v_lim, 0.0, 0.0])
-        assert grid_task_reward(ref, v, p.v_lim, 0.0) == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert task_reward(ref, v, p.v_lim, 0.0) == pytest.approx(-1.0 / 3.0, abs=1e-12)
         v = ref - np.array([p.v_lim, p.v_lim, -p.v_lim])
-        assert grid_task_reward(ref, v, p.v_lim, 0.946) == pytest.approx(-0.054, abs=1e-12)
+        assert task_reward(ref, v, p.v_lim, 0.946) == pytest.approx(-0.054, abs=1e-12)
 
     def test_reward_bounded_and_zero_only_at_perfect_tracking(self):
         p = GridParams()
         rng = derive_rng(20, 0)
         for _ in range(300):
             v = rng.uniform(-2 * p.v_lim, 2 * p.v_lim, size=3)
-            r = grid_task_reward(p.v_ref, v, p.v_lim, 0.946)
+            r = task_reward(p.v_ref, v, p.v_lim, 0.946)
             assert -(1.0 - 0.946) - 1e-12 <= r <= 0.0
             if not np.allclose(v, p.v_ref):
                 assert r < 0.0
@@ -345,7 +344,7 @@ class TestFeaturesAndReward:
         assert tail.std() < 1e-10
         a, b = analytic_matrices(p, 45.0)
         x_ss = np.linalg.solve(a, -b @ (u * p.v_dc / 2.0))
-        expected = grid_task_reward(p.v_ref, x_ss[3:], p.v_lim, 0.0)
+        expected = task_reward(p.v_ref, x_ss[3:], p.v_lim, 0.0)
         assert tail[-1] == pytest.approx(expected, abs=1e-6)
 
 

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from secrl import ConfigurationError, EnvironmentFault
-from secrl.envs.motor import (
-    MotorEnv,
-    MotorParams,
-    ReferenceGenerator,
-    motor_task_reward,
-)
+from secrl.envs.base import task_reward
+from secrl.envs.motor import MotorEnv, MotorParams, ReferenceGenerator
 from secrl.seeding import derive_rng
 
 
@@ -121,11 +117,11 @@ class TestFeaturesAndReward:
     def test_reward_values(self):
         p = MotorParams()
         ref = np.array([5.0, -2.0])
-        assert motor_task_reward(ref, ref, p.i_lim, 0.946) == 0.0
+        assert task_reward(ref, ref, p.i_lim, 0.946) == 0.0
         meas = ref - np.array([p.i_lim, -p.i_lim])
-        assert motor_task_reward(ref, meas, p.i_lim, 0.0) == pytest.approx(-1.0, abs=1e-12)
+        assert task_reward(ref, meas, p.i_lim, 0.0) == pytest.approx(-1.0, abs=1e-12)
         meas = ref - np.array([p.i_lim, 0.0])
-        assert motor_task_reward(ref, meas, p.i_lim, 0.946) == pytest.approx(-0.027, abs=1e-12)
+        assert task_reward(ref, meas, p.i_lim, 0.946) == pytest.approx(-0.027, abs=1e-12)
 
     def test_reward_bounded(self):
         p = MotorParams()
@@ -133,7 +129,7 @@ class TestFeaturesAndReward:
         for _ in range(300):
             ref = rng.uniform(-p.i_lim, p.i_lim, size=2)
             meas = rng.uniform(-2 * p.i_lim, 2 * p.i_lim, size=2)
-            r = motor_task_reward(ref, meas, p.i_lim, 0.946)
+            r = task_reward(ref, meas, p.i_lim, 0.946)
             assert -(1.0 - 0.946) - 1e-12 <= r <= 0.0
 
 

@@ -1,9 +1,11 @@
 """Experiment orchestration: rollouts, zero-step runs, report cardinality."""
 
+import importlib.util
 import json
 import logging
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ FAST = {
     "experiment.motor_profile_steps": 1500,
     "experiment.grid_transient_steps": 1500,
 }
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def motor_cfg(**extra):
@@ -216,8 +219,30 @@ class TestCompareRunArtifacts:
             agent, _ = load_agent(run_dir / "agent.npz")
             assert np.array_equal(trainer.agent.actor.flat(), agent.actor.flat())
 
+    def test_two_workers_write_the_serial_bytes(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("run_digests", TOOLS / "run_digests.py")
+        run_digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_digests)
+        compared = re.compile(
+            r"(report\.csv|summary\.json|[^/]+/(agent\.npz:.+|learning_curve\.csv|events\.json))$")
+        digests = []
+        for workers in (1, 2):
+            cfg = parse_config(None, {**FAST, **self.TRAIN, "env.kind": "grid",
+                                      "experiment.variants": ["ddpg", "sec-ddpg", "pi"],
+                                      "experiment.seeds": [1, 2], "experiment.pi_tune_steps": 100,
+                                      "experiment.workers": workers})
+            out = tmp_path / f"workers{workers}"
+            summary = run_experiment(cfg, out)
+            assert [r["status"] for r in summary["runs"]] == ["ok"] * 6
+            # summary.json without train_seconds, npz files member by member
+            digests.append([line for line in run_digests.digest_lines(out)
+                            if compared.match(line.split("  ", 1)[1])])
+        assert digests[0] == digests[1]
+        labels = {line.split("  ", 1)[1] for line in digests[0]}
+        assert {"report.csv", "summary.json", "ddpg-seed2/events.json",
+                "ddpg-seed2/learning_curve.csv", "sec-ddpg-seed1/agent.npz:aopt_mw0"} <= labels
+
     def test_failed_training_run_keeps_its_event_log(self, tmp_path, monkeypatch):
-        # `secrl.ddpg.train` as an attribute is the re-exported function.
         train_module = sys.modules["secrl.ddpg.train"]
 
         def failing_update(agent, batch, lr):

@@ -7,7 +7,7 @@ import pytest
 from secrl.checkpoint import load_trainer_into, save_trainer
 from secrl.config import parse_config
 from secrl.ddpg.agent import AgentConfig
-from secrl.ddpg.train import Trainer, TrainSettings, train
+from secrl.ddpg.train import Trainer, TrainSettings
 from secrl.envs.grid import GridEnv, GridParams
 from secrl.envs.motor import MotorEnv, MotorParams
 from secrl.sec import SecActionWrapper, SecRewardConfig
@@ -36,7 +36,7 @@ def test_zero_steps_returns_initialized_agent_and_empty_curve():
     env = MotorEnv(MotorParams(), seed=1)
     wrapped = SecActionWrapper(env)
     acfg = tiny_agent_config(wrapped.obs_dim, wrapped.action_dim)
-    result = train(wrapped, acfg, TrainSettings(total_steps=0), seed=1)
+    result = Trainer(wrapped, acfg, TrainSettings(total_steps=0), seed=1).run()
     assert result.curve == []
     assert result.agent.actor.layer_sizes[0] == wrapped.obs_dim
 
