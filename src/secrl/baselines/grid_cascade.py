@@ -63,31 +63,28 @@ class GridCascadePolicy:
         # Per-channel gains (4, k, 3); one candidate drops the k axis.
         per_channel = np.repeat(table.T[:, :, None], 3, axis=2)
         kp_v, ki_v, kp_i, ki_i = per_channel[:, 0] if single else per_channel
-        self.outer = PiController(kp_v, ki_v, -params.i_lim, params.i_lim)
-        self.inner = PiController(kp_i, ki_i, -1.0, 1.0)
+        self.outer = PiController(kp_v, ki_v, -params.i_lim, params.i_lim, params.dt)
+        self.inner = PiController(kp_i, ki_i, -1.0, 1.0, params.dt)
 
     def reset(self) -> None:
         self.outer.reset()
         self.inner.reset()
 
     def action(self, measurements: dict) -> np.ndarray:
-        p = self.params
         v = measurements["v"]
-        i = measurements["i"]
-        v_ref = measurements["ref"]
-        i_ref = self.outer.step(v_ref - v, p.dt)
+        i_ref = self.outer.step(measurements["ref"] - v)
         # Capacitor-voltage feed-forward carries the operating point so the
         # inner integrators only handle the residual.
-        ff = v / (p.v_dc / 2.0)
-        return self.inner.step(i_ref - i, p.dt, feedforward=ff)
+        ff = v / (self.params.v_dc / 2.0)
+        return self.inner.step(i_ref - measurements["i"], feedforward=ff)
 
 
 def validation_score(
-    params: GridParams, gains: CascadeGains | Sequence[CascadeGains], seed: int, steps: int,
-) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
+    params: GridParams, gains: Sequence[CascadeGains], seed: int, steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean task reward (discount 0) of a closed-loop seeded episode, plus
-    whether any limit violation occurred: (float, bool) for one
-    `CascadeGains`, and (scores[k], violated[k]) arrays for a sequence of k.
+    whether any limit violation occurred, for each of k gain candidates:
+    (scores[k], violated[k]).
 
     The k candidates are scored in one lockstep episode: k cascades drive
     k copies of the plant (GridEnv.lockstep), and each step's load,
@@ -99,8 +96,7 @@ def validation_score(
     as a schedule, which gives the same episode bit for bit."""
     if steps < 1:
         raise ConfigurationError(f"validation episode needs steps >= 1, got {steps}")
-    single = isinstance(gains, CascadeGains)
-    candidates = [gains] if single else list(gains)
+    candidates = list(gains)
     env = GridEnv(params, gamma=0.0, seed=seed, terminate_on_violation=False)
     env.set_load_schedule(seeded_load_series(seed, steps, params.dt))
     env.reset(seed=seed)
@@ -112,10 +108,7 @@ def validation_score(
         _, _, r, violation = env.advance(policy.action(env.measurements()))
         total += r
         violated |= violation
-    scores = total / steps
-    if single:
-        return float(scores[0]), bool(violated[0])
-    return scores, violated
+    return total / steps, violated
 
 
 def tune_grid_cascade(

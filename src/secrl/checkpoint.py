@@ -1,9 +1,8 @@
 """Self-describing npz checkpoints.
 
-Three levels: bare network parameters, a full agent (networks, targets,
-optimizer moments), and a complete training snapshot (agent plus replay
-buffer, noise/integrator state, rng states, and environment state) that
-resumes bit-exactly.  Members are stored uncompressed, as float64 weights,
+Two levels: a full agent (networks, targets, optimizer moments), and a
+complete training snapshot (agent plus replay buffer, noise/integrator
+state, rng states, and environment state) that resumes bit-exactly.  Members are stored uncompressed, as float64 weights,
 moments and replay rows barely deflate; older deflated files still load.
 """
 
@@ -135,19 +134,6 @@ def _unpack_network(prefix: str, meta: dict, data, params: MlpParams) -> None:
         _read_into(data, f"{prefix}w{j}", w)
         _read_into(data, f"{prefix}b{j}", b)
     params.validate()
-
-
-def save_network(path: str | Path, params: MlpParams) -> None:
-    arrays: dict = {}
-    _write_npz(path, _pack_network("", params, arrays), arrays)
-
-
-def load_network(path: str | Path) -> MlpParams:
-    with _reading(path, "network") as (meta, data):
-        params = MlpParams(meta["layer_sizes"], None, None, meta["beta"],
-                           meta["output_activation"])
-        _unpack_network("", meta, data, params)
-        return params
 
 
 # -- optimizer states ------------------------------------------------------

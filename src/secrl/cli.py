@@ -123,8 +123,7 @@ def cmd_eval(args) -> int:
                          t_i=sec_info.get("t_i", cfg["sec.t_i"]),
                          t_aw=sec_info.get("t_aw", cfg["sec.t_aw"]))
     cases = [TestCase.load(p) for p in args.testcase]
-    rows = evaluate_policy(cfg, policy, cases, run_seed=seed,
-                           out_dir=out_dir, save_trajectories=True)
+    rows = evaluate_policy(cfg, policy, cases, run_seed=seed, trajectory_dir=out_dir)
     write_report(out_dir / "report.csv",
                  [{"variant": extra.get("variant", "agent"), "seed": seed, "rows": rows}])
     headline = {r["metric_name"]: r["value"] for r in rows

@@ -30,35 +30,20 @@ FULL_SCALE_STEPS = 5_000_000
 RL_VARIANTS = ("ddpg", "sec-ddpg")   # trained agents, plain and augmented
 VARIANTS = (*RL_VARIANTS, "pi")       # plus the classical baseline
 
-_INT = "int"
-_FLOAT = "float"
-_BOOL = "bool"
-_STR = "str"
-_INT_LIST = "int_list"
-_STR_LIST = "str_list"
-
-
 @dataclass(frozen=True)
 class _Key:
-    default: object
-    type: str
+    default: object                  # its type is the key's type
     lo: float | None = None          # inclusive range, None = unchecked
     hi: float | None = None
     choices: tuple | None = None
     scaled_by_horizon: bool = False  # breakpoint rescaled by steps/schedule_horizon
 
 
-def _coerce(key: str, value, kind: str):
+def _coerce(key: str, value, default):
+    """`value` as the type of `default`: bool, int, float or str, or for a
+    list default, a list whose items are coerced as its first item."""
     try:
-        if kind == _INT:
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise ValueError(value)
-            return int(value)
-        if kind == _FLOAT:
-            if isinstance(value, bool):
-                raise ValueError(value)
-            return float(value)
-        if kind == _BOOL:
+        if isinstance(default, bool):
             if isinstance(value, bool):
                 return value
             if isinstance(value, str):
@@ -67,23 +52,23 @@ def _coerce(key: str, value, kind: str):
                 if value.lower() in ("false", "0", "no"):
                     return False
             raise ValueError(value)
-        if kind == _STR:
+        if isinstance(default, int):
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError(value)
+            return int(value)
+        if isinstance(default, float):
+            if isinstance(value, bool):
+                raise ValueError(value)
+            return float(value)
+        if isinstance(default, str):
             return str(value)
-        if kind == _INT_LIST:
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v.strip()]
-            elif not isinstance(value, (list, tuple)):
-                value = [value]
-            return [int(v) for v in value]
-        if kind == _STR_LIST:
-            if isinstance(value, str):
-                value = [v.strip() for v in value.split(",") if v.strip()]
-            elif not isinstance(value, (list, tuple)):
-                value = [value]
-            return [str(v) for v in value]
+        if isinstance(value, str):
+            value = [v.strip() for v in value.split(",") if v.strip()]
+        elif not isinstance(value, (list, tuple)):
+            value = [value]
+        return [_coerce(key, v, default[0]) for v in value]
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"config key {key!r}: cannot parse {value!r}") from exc
-    raise ConfigurationError(f"config key {key!r}: unknown type {kind}")  # pragma: no cover
 
 
 # Plant constants: one `env.<plant>.<field>` key per parameter field, in
@@ -101,76 +86,76 @@ def _plant_keys(plant: str) -> dict[str, _Key]:
     keys = {}
     for f in _plant_fields(plant):
         key = f"env.{plant}.{f.name}"
-        kind = _INT if isinstance(f.default, int) else _FLOAT
-        # Coerced: yaml.safe_dump rejects numpy scalars such as GridParams.v_nom.
-        keys[key] = _Key(_coerce(key, f.default, kind), kind,
-                         lo=1 if kind == _INT else 0.0, hi=_PLANT_HI.get(key))
+        integral = isinstance(f.default, int)
+        # Converted: yaml.safe_dump rejects numpy scalars such as GridParams.v_nom.
+        keys[key] = _Key(int(f.default) if integral else float(f.default),
+                         lo=1 if integral else 0.0, hi=_PLANT_HI.get(key))
     return keys
 
 
 SCHEMA: dict[str, _Key] = {
-    "seed": _Key(0, _INT),
-    "out_dir": _Key("runs/out", _STR),
-    "allow_out_of_range": _Key(False, _BOOL),
+    "seed": _Key(0),
+    "out_dir": _Key("runs/out"),
+    "allow_out_of_range": _Key(False),
     # training horizon and loop cadence
-    "train.steps": _Key(200_000, _INT, lo=0),
-    "train.schedule_horizon": _Key(FULL_SCALE_STEPS, _INT, lo=1),
-    "train.rescale_schedules": _Key(True, _BOOL),
-    "train.episode_steps": _Key(2811, _INT, lo=1, hi=5000),
-    "train.sampling_time": _Key(1e-4, _FLOAT, lo=1e-9),
-    "train.progress_every": _Key(0, _INT, lo=0),
-    "train.checkpoint_every": _Key(0, _INT, lo=0),
+    "train.steps": _Key(200_000, lo=0),
+    "train.schedule_horizon": _Key(FULL_SCALE_STEPS, lo=1),
+    "train.rescale_schedules": _Key(True),
+    "train.episode_steps": _Key(2811, lo=1, hi=5000),
+    "train.sampling_time": _Key(1e-4, lo=1e-9),
+    "train.progress_every": _Key(0, lo=0),
+    "train.checkpoint_every": _Key(0, lo=0),
     # agent hyperparameters (tuned values; ranges from the search setting)
-    "agent.variant": _Key("sec-ddpg", _STR, choices=VARIANTS),
-    "agent.gamma": _Key(0.946, _FLOAT, lo=0.5, hi=0.999),
-    "agent.lr": _Key(3.75e-4, _FLOAT, lo=1e-6, hi=5e-2),
-    "agent.lr_final": _Key(3.13e-4, _FLOAT, lo=1e-12, hi=5e-2),
-    "agent.lr_decay_start": _Key(1_375_000, _INT, lo=0, scaled_by_horizon=True),
-    "agent.lr_decay_end": _Key(1_620_000, _INT, lo=0, scaled_by_horizon=True),
-    "agent.optimizer": _Key("adam", _STR, choices=tuple(OPTIMIZERS)),
-    "agent.buffer_size": _Key(3_870_000, _INT, lo=20_000),
-    "agent.batch_size": _Key(261, _INT, lo=16, hi=1024),
-    "agent.tau": _Key(2.61e-3, _FLOAT, lo=1e-4, hi=3e-1),
-    "agent.weight_scale": _Key(8.5e-4, _FLOAT, lo=5e-5, hi=2e-1),
-    "agent.bias_scale": _Key(2e-2, _FLOAT, lo=5e-4, hi=2e-1),
-    "agent.train_freq": _Key(2, _INT, lo=1, hi=15_000),
-    "agent.actor.beta": _Key(0.208, _FLOAT, lo=1e-3, hi=0.5),
-    "agent.actor.layers": _Key(2, _INT, lo=1, hi=4),
-    "agent.actor.units": _Key(25, _INT, lo=10, hi=200),
-    "agent.critic.beta": _Key(6.79e-3, _FLOAT, lo=1e-3, hi=0.5),
-    "agent.critic.layers": _Key(4, _INT, lo=1, hi=4),
-    "agent.critic.units": _Key(295, _INT, lo=10, hi=300),
-    "agent.noise.stiffness": _Key(31.58, _FLOAT, lo=1.0, hi=50.0),
-    "agent.noise.diffusion": _Key(2.6e-2, _FLOAT, lo=1e-2, hi=1.0),
+    "agent.variant": _Key("sec-ddpg", choices=VARIANTS),
+    "agent.gamma": _Key(0.946, lo=0.5, hi=0.999),
+    "agent.lr": _Key(3.75e-4, lo=1e-6, hi=5e-2),
+    "agent.lr_final": _Key(3.13e-4, lo=1e-12, hi=5e-2),
+    "agent.lr_decay_start": _Key(1_375_000, lo=0, scaled_by_horizon=True),
+    "agent.lr_decay_end": _Key(1_620_000, lo=0, scaled_by_horizon=True),
+    "agent.optimizer": _Key("adam", choices=tuple(OPTIMIZERS)),
+    "agent.buffer_size": _Key(3_870_000, lo=20_000),
+    "agent.batch_size": _Key(261, lo=16, hi=1024),
+    "agent.tau": _Key(2.61e-3, lo=1e-4, hi=3e-1),
+    "agent.weight_scale": _Key(8.5e-4, lo=5e-5, hi=2e-1),
+    "agent.bias_scale": _Key(2e-2, lo=5e-4, hi=2e-1),
+    "agent.train_freq": _Key(2, lo=1, hi=15_000),
+    "agent.actor.beta": _Key(0.208, lo=1e-3, hi=0.5),
+    "agent.actor.layers": _Key(2, lo=1, hi=4),
+    "agent.actor.units": _Key(25, lo=10, hi=200),
+    "agent.critic.beta": _Key(6.79e-3, lo=1e-3, hi=0.5),
+    "agent.critic.layers": _Key(4, lo=1, hi=4),
+    "agent.critic.units": _Key(295, lo=10, hi=300),
+    "agent.noise.stiffness": _Key(31.58, lo=1.0, hi=50.0),
+    "agent.noise.diffusion": _Key(2.6e-2, lo=1e-2, hi=1.0),
     # integral-action augmentation
-    "sec.t_i": _Key(0.31, _FLOAT, lo=5e-3, hi=2.0),
-    "sec.t_aw": _Key(0.66, _FLOAT, lo=1e-5, hi=1.0),
-    "sec.kappa_p": _Key(1.48, _FLOAT, lo=0.0, hi=2.0),
-    "sec.kappa_i": _Key(1.13, _FLOAT, lo=0.0, hi=2.0),
-    "sec.kappa_p_decay_start": _Key(1_150_000, _INT, lo=0, scaled_by_horizon=True),
-    "sec.kappa_i_decay_start": _Key(2_750_000, _INT, lo=0, scaled_by_horizon=True),
+    "sec.t_i": _Key(0.31, lo=5e-3, hi=2.0),
+    "sec.t_aw": _Key(0.66, lo=1e-5, hi=1.0),
+    "sec.kappa_p": _Key(1.48, lo=0.0, hi=2.0),
+    "sec.kappa_i": _Key(1.13, lo=0.0, hi=2.0),
+    "sec.kappa_p_decay_start": _Key(1_150_000, lo=0, scaled_by_horizon=True),
+    "sec.kappa_i_decay_start": _Key(2_750_000, lo=0, scaled_by_horizon=True),
     # environments
-    "env.kind": _Key("grid", _STR, choices=("grid", "motor")),
-    "env.past_measurements": _Key(5, _INT, lo=0, hi=50),
+    "env.kind": _Key("grid", choices=("grid", "motor")),
+    "env.past_measurements": _Key(5, lo=0, hi=50),
     # Training runs every episode to the step cap.  With always-negative
     # rewards, ending an episode at a limit violation *pays* (terminal cuts
     # the stream of penalties), and agents demonstrably learn to crash; the
     # violation-terminal machinery stays available behind this switch.
-    "env.terminate_on_violation": _Key(False, _BOOL),
+    "env.terminate_on_violation": _Key(False),
     **_plant_keys("grid"),
     **_plant_keys("motor"),
     # experiment harness
-    "experiment.variants": _Key(list(VARIANTS), _STR_LIST),
-    "experiment.seeds": _Key([1, 2, 3, 4, 5], _INT_LIST),
-    "experiment.workers": _Key(1, _INT, lo=1),
-    "experiment.testcase_seed": _Key(97, _INT),
-    "experiment.grid_transient_steps": _Key(100_000, _INT, lo=1),
-    "experiment.motor_profile_steps": _Key(10_000, _INT, lo=1),
-    "experiment.segments": _Key(20, _INT, lo=1),
-    "experiment.segment_length": _Key(500, _INT, lo=2),
-    "experiment.save_trajectories": _Key(False, _BOOL),
-    "experiment.pi_tune_steps": _Key(10_000, _INT, lo=100),
-    "experiment.pi_tune_seed": _Key(11, _INT),
+    "experiment.variants": _Key(list(VARIANTS)),
+    "experiment.seeds": _Key([1, 2, 3, 4, 5]),
+    "experiment.workers": _Key(1, lo=1),
+    "experiment.testcase_seed": _Key(97),
+    "experiment.grid_transient_steps": _Key(100_000, lo=1),
+    "experiment.motor_profile_steps": _Key(10_000, lo=1),
+    "experiment.segments": _Key(20, lo=1),
+    "experiment.segment_length": _Key(500, lo=2),
+    "experiment.save_trajectories": _Key(False),
+    "experiment.pi_tune_steps": _Key(10_000, lo=100),
+    "experiment.pi_tune_seed": _Key(11),
 }
 
 class RunConfig:
@@ -283,13 +268,12 @@ def _validate_ranges(values: dict) -> None:
         if spec.choices is not None and val not in spec.choices:
             problems.append(f"{key}={val!r} not in {spec.choices}")
             continue
-        if spec.type in (_INT, _FLOAT):
-            lo = spec.lo
-            hi = spec.hi if not spec.scaled_by_horizon else horizon
-            if lo is not None and val < lo:
-                problems.append(f"{key}={val} below {lo}")
-            if hi is not None and val > hi:
-                problems.append(f"{key}={val} above {hi}")
+        lo = spec.lo
+        hi = spec.hi if not spec.scaled_by_horizon else horizon
+        if lo is not None and val < lo:
+            problems.append(f"{key}={val} below {lo}")
+        if hi is not None and val > hi:
+            problems.append(f"{key}={val} above {hi}")
     if values["agent.lr_final"] > values["agent.lr"]:
         problems.append("agent.lr_final must not exceed agent.lr")
     if values["agent.lr_decay_end"] < values["agent.lr_decay_start"]:
@@ -308,32 +292,38 @@ def parse_config(
     path: str | Path | None = None,
     overrides: dict | None = None,
 ) -> RunConfig:
-    """Merge defaults < file < overrides, reject unknown keys, validate."""
+    """Merge defaults < file < overrides, reject unknown keys, validate;
+    an unreadable file raises ConfigurationError."""
     values = {key: spec.default for key, spec in SCHEMA.items()}
+    raw = {}
     if path is not None:
-        raw = yaml.safe_load(Path(path).read_text())
+        try:
+            raw = yaml.safe_load(Path(path).read_text())
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigurationError(f"config file {path} must be a flat mapping")
-        for key, val in raw.items():
+    for source, items in ((f"in {path}", raw), ("in overrides", overrides or {})):
+        for key, val in items.items():
             if key not in SCHEMA:
-                raise ConfigurationError(f"unknown config key {key!r} in {path}")
-            values[key] = _coerce(key, val, SCHEMA[key].type)
-    for key, val in (overrides or {}).items():
-        if key not in SCHEMA:
-            raise ConfigurationError(f"unknown config key {key!r} in overrides")
-        values[key] = _coerce(key, val, SCHEMA[key].type)
+                raise ConfigurationError(f"unknown config key {key!r} {source}")
+            values[key] = _coerce(key, val, SCHEMA[key].default)
     _validate_ranges(values)
     return RunConfig(values)
 
 
 def parse_override_strings(pairs: list[str]) -> dict:
-    """Parse repeated ``key=value`` strings; values go through YAML typing."""
+    """Parse repeated ``key=value`` strings; values go through YAML typing,
+    and a value YAML cannot read raises ConfigurationError."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigurationError(f"override {pair!r} is not of the form key=value")
         key, _, raw = pair.partition("=")
-        out[key.strip()] = yaml.safe_load(raw.strip())
+        try:
+            out[key.strip()] = yaml.safe_load(raw.strip())
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"override {pair!r}: cannot parse the value: {exc}") from exc
     return out

@@ -115,16 +115,23 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def task_reward(ref: np.ndarray, meas: np.ndarray, limit: float, gamma: float) -> float | np.ndarray:
-    """Mean root error over the channels; each channel's error ratio
-    saturates at 1, so the per-step reward stays within [-(1-gamma), 0].
-
-    A float for one measurement (d,); for a stack (k, d), the k rewards,
-    each bit-equal to that row's float."""
+def root_error_sum(ref: np.ndarray, meas: np.ndarray, limit: float) -> np.ndarray:
+    """The task reward's core: the sum over channels of the root error ratio
+    |ref - meas| / limit, each ratio saturated at 1.  For a stack (k, d),
+    the k sums, each bit-equal to that row's own."""
     ratio = np.abs(np.subtract(ref, meas))
     ratio /= limit
     np.minimum(ratio, 1.0, out=ratio)
-    reward = -(1.0 - gamma) / ratio.shape[-1] * np.sqrt(ratio, out=ratio).sum(axis=-1)
+    return np.sqrt(ratio, out=ratio).sum(axis=-1)
+
+
+def task_reward(ref: np.ndarray, meas: np.ndarray, limit: float, gamma: float) -> float | np.ndarray:
+    """Mean root error over the channels, scaled by 1 - gamma, so the
+    per-step reward stays within [-(1-gamma), 0].
+
+    A float for one measurement (d,); for a stack (k, d), the k rewards,
+    each bit-equal to that row's float."""
+    reward = -(1.0 - gamma) / np.shape(meas)[-1] * root_error_sum(ref, meas, limit)
     return float(reward) if reward.ndim == 0 else reward
 
 

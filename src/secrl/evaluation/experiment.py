@@ -314,35 +314,23 @@ def write_learning_curve(path: Path, curve) -> None:
 
 
 def evaluate_policy(cfg: RunConfig, policy, cases: list[TestCase], run_seed: int,
-                    out_dir: Path | None = None, save_trajectories: bool = False):
-    """Metric rows for one policy over the frozen cases."""
+                    trajectory_dir: Path | None = None):
+    """Metric rows for one policy over the frozen cases; with a
+    `trajectory_dir`, each case's trajectory is also written there."""
     rows = []
     for case in cases:
         env = build_eval_env(cfg, _CASE_PLANT[case.kind].name)
         traj = rollout(env, policy, case, eval_seed_for(case, run_seed))
-        if out_dir is not None and save_trajectories:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            traj.to_csv(out_dir / f"trajectory-{case.case_id}.csv")
-        rows.append({
-            "test_case_id": case.case_id,
-            "metric_name": "mean_reward",
-            "value": mean_task_reward(traj),
-        })
+        if trajectory_dir is not None:
+            trajectory_dir.mkdir(parents=True, exist_ok=True)
+            traj.to_csv(trajectory_dir / f"trajectory-{case.case_id}.csv")
+        metrics = [("mean_reward", mean_task_reward(traj))]
         if case.kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
             seg_means, overall = steady_state_metric(traj, case.segment_length)
-            rows.append({
-                "test_case_id": case.case_id,
-                "metric_name": "steady_state_mean",
-                "value": overall,
-            })
-            rows.extend(
-                {
-                    "test_case_id": case.case_id,
-                    "metric_name": f"segment_mean_{s:02d}",
-                    "value": float(seg_means[s]),
-                }
-                for s in range(len(seg_means))
-            )
+            metrics.append(("steady_state_mean", overall))
+            metrics += [(f"segment_mean_{s:02d}", float(v)) for s, v in enumerate(seg_means)]
+        rows += [{"test_case_id": case.case_id, "metric_name": name, "value": value}
+                 for name, value in metrics]
     return rows
 
 
@@ -350,29 +338,25 @@ def _run_one(cfg: RunConfig, variant: str, seed: int, run_dir: Path, cases: list
              pi_gains: CascadeGains | None, save_traj: bool) -> dict:
     """One (variant, seed) run; importable top-level so it can be a worker."""
     record: dict = {"variant": variant, "seed": seed}
-    t0 = time.perf_counter()
     try:
         if variant in RL_VARIANTS:
             trainer = build_trainer(cfg, variant, seed)
             t_train = time.perf_counter()
             result = train_agent(trainer, cfg, variant, run_dir)
             record["train_seconds"] = time.perf_counter() - t_train
-            record["episodes"] = len(result.curve)
             policy = AgentPolicy(result.agent.actor, m=trainer.env.m,
                                  t_i=cfg["sec.t_i"], t_aw=cfg["sec.t_aw"])
         elif variant == "pi":
             policy = ControllerPolicy(_plant(cfg["env.kind"]).pi(cfg, pi_gains))
         else:
             raise ConfigurationError(f"unknown variant {variant!r}")
-        record["rows"] = evaluate_policy(
-            cfg, policy, cases, run_seed=seed, out_dir=run_dir, save_trajectories=save_traj,
-        )
+        record["rows"] = evaluate_policy(cfg, policy, cases, run_seed=seed,
+                                         trajectory_dir=run_dir if save_traj else None)
         record["status"] = "ok"
     except Exception as exc:  # individual run failures must not kill the batch
         record["status"] = "failed"
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["rows"] = []
-    record["seconds"] = time.perf_counter() - t0
     return record
 
 
@@ -454,12 +438,9 @@ def _write_reports(plan: ExperimentPlan, records: list[dict]) -> dict:
     # Aggregate box statistics per (variant, headline metric).
     summary: dict = {"env_kind": plan.env_kind, "runs": [], "metrics": {}}
     for rec in records:
-        entry = {k: rec[k] for k in ("variant", "seed", "status") if k in rec}
-        if "error" in rec:
-            entry["error"] = rec["error"]
-        if "train_seconds" in rec:
-            entry["train_seconds"] = rec["train_seconds"]
-        summary["runs"].append(entry)
+        summary["runs"].append({k: rec[k] for k in
+                                ("variant", "seed", "status", "error", "train_seconds")
+                                if k in rec})
     for metric in ("mean_reward", "steady_state_mean"):
         per_variant = {}
         for variant in plan.variants:

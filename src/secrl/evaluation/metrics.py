@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import ConfigurationError
+from ..envs.base import root_error_sum
 
 
 @dataclass
@@ -69,10 +70,9 @@ class Trajectory:
 
 
 def per_step_rewards(traj: Trajectory) -> np.ndarray:
-    """Task reward per step with discount 0 (mean root error, saturated)."""
-    ratio = np.minimum(np.abs(traj.reference - traj.measured) / traj.limit, 1.0)
-    d = traj.reference.shape[1]
-    return -np.sum(np.sqrt(ratio), axis=1) / d
+    """Task reward per step with discount 0: the plants' root_error_sum,
+    scaled as -S / d."""
+    return -root_error_sum(traj.reference, traj.measured, traj.limit) / traj.reference.shape[1]
 
 
 def mean_task_reward(traj: Trajectory) -> float:
@@ -101,16 +101,8 @@ def steady_state_metric(
         raise ConfigurationError(
             f"trajectory length {n} is not a whole number of {segment_length}-step segments"
         )
-    rewards = per_step_rewards(traj)
-    segments = n // segment_length
-    means = np.empty(segments)
-    evaluated = 0
-    for s in range(segments):
-        lo = s * segment_length + skip
-        hi = (s + 1) * segment_length
-        means[s] = np.mean(rewards[lo:hi])
-        evaluated += hi - lo
-    assert evaluated == segments * (segment_length - skip)
+    windows = per_step_rewards(traj).reshape(n // segment_length, segment_length)[:, skip:]
+    means = windows.mean(axis=1)
     return means, float(np.mean(means))
 
 

@@ -45,6 +45,13 @@ class TestCase:
             raise ConfigurationError("payload length must equal duration")
         if self.segment_length and self.duration % self.segment_length != 0:
             raise ConfigurationError("duration must divide into whole segments")
+        p = self.payload
+        if self.kind in (GRID_LOAD_PROFILE, GRID_STEADYSTATE):
+            if p.ndim != 1 or not (np.isfinite(p).all() and (p > 0).all()):
+                raise ConfigurationError("grid test case payload must be 1-D finite positive loads")
+        elif p.shape != (self.duration, 2) or not np.isfinite(p).all():
+            raise ConfigurationError(
+                "motor test case payload must be (duration, 2) finite references")
 
     @property
     def case_id(self) -> str:
@@ -111,14 +118,13 @@ def gen_steadystate_testcase(
     """Stepwise-constant case: `segments` values held `segment_length` steps."""
     rng = derive_rng(seed, STREAM_ENV)
     if kind in (GRID_STEADYSTATE, "grid"):
-        values = _stratified_1d(rng, R_LOAD_MIN, R_LOAD_MAX, segments)
-        payload = np.repeat(values, segment_length)
-        return TestCase(GRID_STEADYSTATE, seed, segments * segment_length, segment_length, payload)
-    if kind in (MOTOR_STEADYSTATE, "motor"):
-        values = _stratified_disc(rng, motor_ref_radius, segments)
-        payload = np.repeat(values, segment_length, axis=0)
-        return TestCase(MOTOR_STEADYSTATE, seed, segments * segment_length, segment_length, payload)
-    raise ConfigurationError(f"unknown steady-state kind {kind!r}")
+        kind, values = GRID_STEADYSTATE, _stratified_1d(rng, R_LOAD_MIN, R_LOAD_MAX, segments)
+    elif kind in (MOTOR_STEADYSTATE, "motor"):
+        kind, values = MOTOR_STEADYSTATE, _stratified_disc(rng, motor_ref_radius, segments)
+    else:
+        raise ConfigurationError(f"unknown steady-state kind {kind!r}")
+    payload = np.repeat(values, segment_length, axis=0)
+    return TestCase(kind, seed, segments * segment_length, segment_length, payload)
 
 
 def gen_motor_profile(
@@ -127,11 +133,11 @@ def gen_motor_profile(
     segment_length: int = 500,
     motor_ref_radius: float = 0.9 * 20.0,
 ) -> TestCase:
-    """Stepwise reference profile for transient scoring (full-trace mean)."""
+    """Stepwise reference profile for transient scoring (full-trace mean):
+    the references of the motor steady-state case of `seed` with
+    steps / segment_length segments."""
     if steps % segment_length != 0:
         raise ConfigurationError("steps must divide into whole segments")
-    segments = steps // segment_length
-    rng = derive_rng(seed, STREAM_ENV)
-    values = _stratified_disc(rng, motor_ref_radius, segments)
-    payload = np.repeat(values, segment_length, axis=0)
-    return TestCase(MOTOR_REFERENCE_PROFILE, seed, steps, segment_length, payload)
+    case = gen_steadystate_testcase(MOTOR_STEADYSTATE, seed, steps // segment_length,
+                                    segment_length, motor_ref_radius)
+    return TestCase(MOTOR_REFERENCE_PROFILE, seed, steps, segment_length, case.payload)

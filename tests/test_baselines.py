@@ -20,17 +20,17 @@ QUIET = dict(noise_v=0.0, noise_i=0.0)
 
 class TestPiController:
     def test_zero_error_zero_state_gives_zero_output(self):
-        pi = PiController(1.0, 0.5, -1.0, 1.0)
-        assert pi.step(0.0, 1e-4)[0] == 0.0
+        pi = PiController(1.0, 0.5, -1.0, 1.0, 1e-4)
+        assert pi.step(0.0)[0] == 0.0
 
     def test_pure_proportional_hand_value(self):
-        pi = PiController(1.0, 0.0, -1.0, 1.0)
-        assert pi.step(0.3, 1e-4)[0] == pytest.approx(0.3, abs=1e-15)
+        pi = PiController(1.0, 0.0, -1.0, 1.0, 1e-4)
+        assert pi.step(0.3)[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_integral_accumulates(self):
-        pi = PiController(0.0, 10.0, -1.0, 1.0)
+        pi = PiController(0.0, 10.0, -1.0, 1.0, 1e-3)
         for _ in range(100):
-            u = pi.step(0.5, 1e-3)
+            u = pi.step(0.5)
         # acc = ki * e * dt * n = 10 * 0.5 * 1e-3 * 100; the output lags by
         # one step because it reads the accumulator before integration.
         assert pi.acc[0] == pytest.approx(0.5, rel=1e-12)
@@ -39,23 +39,27 @@ class TestPiController:
     def test_accumulator_bounded_under_persistent_saturation(self):
         # 1e4 steps of full error against the output limit: back-calculation
         # must keep the accumulator finite and close to the limit band.
-        pi = PiController(1.0, 50.0, -1.0, 1.0)
+        pi = PiController(1.0, 50.0, -1.0, 1.0, 1e-3)
         for _ in range(10_000):
-            pi.step(1.0, 1e-3)
+            pi.step(1.0)
         assert abs(pi.acc[0]) < 5.0
 
     def test_zero_error_holds_state_constant(self):
-        pi = PiController(0.8, 5.0, -1.0, 1.0)
+        pi = PiController(0.8, 5.0, -1.0, 1.0, 1e-3)
         for _ in range(50):
-            pi.step(0.1, 1e-3)
+            pi.step(0.1)
         acc0 = pi.acc.copy()
-        outs = [pi.step(0.0, 1e-3)[0] for _ in range(100)]
+        outs = [pi.step(0.0)[0] for _ in range(100)]
         assert np.allclose(outs, outs[0], atol=1e-15)
         assert np.array_equal(pi.acc, acc0)
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(ConfigurationError):
-            PiController(1.0, 1.0, 1.0, -1.0)
+            PiController(1.0, 1.0, 1.0, -1.0, 1e-4)
+
+    def test_nonpositive_period_rejected(self):
+        with pytest.raises(ConfigurationError, match="dt must be > 0"):
+            PiController(1.0, 1.0, -1.0, 1.0, 0.0)
 
     def test_k_row_controller_equals_k_one_row_controllers(self):
         rng = np.random.default_rng(21)
@@ -69,16 +73,16 @@ class TestPiController:
         ki[2:] *= 0.1
         scale = np.array([0.3, 0.3, 0.05, 0.05, 0.05])[:, None]
         bias = np.array([0.05, 0.5, 0.0, 0.0, 0.0])[:, None]
-        batch = PiController(kp, ki, -1.0, 1.0)
-        rows = [PiController(kp[r], ki[r], -1.0, 1.0) for r in range(5)]
+        batch = PiController(kp, ki, -1.0, 1.0, 1e-3)
+        rows = [PiController(kp[r], ki[r], -1.0, 1.0, 1e-3) for r in range(5)]
         clipped = np.zeros((5, 3), dtype=bool)
         for _ in range(2000):
             e = rng.standard_normal((5, 3)) * scale + bias
             ff = rng.standard_normal((5, 3)) * scale
-            u = batch.step(e, 1e-3, feedforward=ff)
+            u = batch.step(e, feedforward=ff)
             clipped |= np.abs(u) == 1.0
             for r, pi in enumerate(rows):
-                assert pi.step(e[r], 1e-3, feedforward=ff[r]).tobytes() == u[r].tobytes()
+                assert pi.step(e[r], feedforward=ff[r]).tobytes() == u[r].tobytes()
                 assert pi.acc.tobytes() == batch.acc[r].tobytes()
         assert clipped[:2].any(axis=1).all() and not clipped[2:].any()
         assert np.isfinite(batch.acc).all()
@@ -86,11 +90,11 @@ class TestPiController:
     @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (-30.0, 30.0)])
     def test_output_clip_matches_np_clip_on_signed_zero_and_nan(self, lo, hi):
         u = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, hi, lo, 2.0 * hi, 2.0 * lo])
-        pi = PiController(np.ones_like(u), np.zeros_like(u), lo, hi)
+        pi = PiController(np.ones_like(u), np.zeros_like(u), lo, hi, 1e-3)
         # x + -0.0 is x for every x, so the unclipped output is u itself.
         pi.acc = np.full_like(u, -0.0)
         with np.errstate(invalid="ignore"):   # inf - inf in the accumulator update
-            out = pi.step(u, 1e-3, feedforward=-0.0)
+            out = pi.step(u, feedforward=-0.0)
         assert out.tobytes() == np.clip(u, lo, hi).tobytes()
         assert np.signbit(out[:2]).tolist() == [False, True]
         assert np.isnan(out[2:4]).all()
@@ -182,7 +186,7 @@ class TestGridCascade:
         g2, rep2 = tune_grid_cascade(p, seed=5, factors_outer=(1.0, 2.0), factors_inner=(1.0,), steps=2000)
         assert g1 == g2
         assert rep1["best_score"] == rep2["best_score"]
-        score, violated = validation_score(p, g1, seed=5, steps=2000)
+        (score,), (violated,) = validation_score(p, [g1], seed=5, steps=2000)
         assert not violated
         assert score == pytest.approx(rep1["best_score"], rel=1e-12)
 
@@ -190,7 +194,7 @@ class TestGridCascade:
         p = GridParams()
         base = analytic_cascade_gains(p)
         gains, report = tune_grid_cascade(p, seed=6, factors_outer=(1.0, 2.0), factors_inner=(1.0,), steps=2000)
-        base_score, _ = validation_score(p, base, seed=6, steps=2000)
+        (base_score,), _ = validation_score(p, [base], seed=6, steps=2000)
         assert report["best_score"] >= base_score - 1e-12
 
 
@@ -216,7 +220,8 @@ class TestGridTuningOnFrozenLoads:
     def test_validation_score_equals_live_episode(self, dt):
         p = GridParams(dt=dt)
         gains = analytic_cascade_gains(p)
-        assert validation_score(p, gains, seed=7, steps=1500) == \
+        (score,), (violated,) = validation_score(p, [gains], seed=7, steps=1500)
+        assert (float(score), bool(violated)) == \
             live_validation_episode(p, gains, seed=7, steps=1500)
 
     def test_tuning_trials_and_gains_equal_live_episodes(self):
@@ -259,12 +264,12 @@ class TestLockstepScorer:
         (1e-4, "-0x1.259ee1cc98a2ap-4", False),
         (2e-4, "-0x1.951c83391110dp-3", True),
     ])
-    def test_one_candidate_returns_python_scalars(self, dt, score_hex, violated):
+    def test_one_candidate_keeps_former_scores(self, dt, score_hex, violated):
         # Values of the one-episode-per-candidate scorer this one replaced.
         p = GridParams(dt=dt)
-        score, bad = validation_score(p, analytic_cascade_gains(p), seed=12, steps=700)
-        assert type(score) is float and type(bad) is bool
-        assert (score.hex(), bad) == (score_hex, violated)
+        scores, bad = validation_score(p, [analytic_cascade_gains(p)], seed=12, steps=700)
+        assert scores.shape == bad.shape == (1,)
+        assert (float(scores[0]).hex(), bool(bad[0])) == (score_hex, violated)
 
     def test_permuting_candidates_permutes_results(self):
         p = GridParams(dt=2e-4)
@@ -282,7 +287,7 @@ class TestLockstepScorer:
     def test_empty_episode_rejected(self):
         p = GridParams()
         with pytest.raises(ConfigurationError, match="steps >= 1"):
-            validation_score(p, analytic_cascade_gains(p), seed=1, steps=0)
+            validation_score(p, [analytic_cascade_gains(p)], seed=1, steps=0)
 
     def test_stacked_propagate_equals_per_row_calls(self):
         p = GridParams()

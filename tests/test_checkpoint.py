@@ -1,4 +1,4 @@
-"""Serialization: versioned network files and full-agent round trips,
+"""Serialization: versioned full-agent files and round trips,
 atomic writes, older deflated files and unreadable files."""
 
 import zipfile
@@ -8,38 +8,36 @@ import pytest
 from test_train import make_sec_grid_trainer
 
 from secrl import ConfigurationError
-from secrl.checkpoint import (
-    load_agent,
-    load_network,
-    load_trainer_into,
-    save_agent,
-    save_network,
-    save_trainer,
-)
+from secrl.checkpoint import load_agent, load_trainer_into, save_agent, save_trainer
 from secrl.ddpg.agent import AgentConfig, DdpgAgent, actor_update, critic_update
-from secrl.nn.mlp import mlp_forward, mlp_init
+from secrl.nn.mlp import mlp_forward
 from secrl.seeding import derive_rng
 
 
+def _small_agent(seed: int) -> DdpgAgent:
+    cfg = AgentConfig(obs_dim=3, action_dim=2, actor_hidden=[6], critic_hidden=[8],
+                      batch_size=4, buffer_capacity=16)
+    return DdpgAgent(cfg, derive_rng(seed, 0))
+
+
 def test_network_roundtrip_bit_exact(tmp_path):
-    params = mlp_init([4, 12, 3], 0.208, "tanh", 8.5e-4, 2e-2, derive_rng(1, 0))
-    save_network(tmp_path / "net.npz", params)
-    loaded = load_network(tmp_path / "net.npz")
-    assert loaded.layer_sizes == params.layer_sizes
-    assert loaded.beta == params.beta
-    assert loaded.output_activation == "tanh"
-    x = derive_rng(2, 0).uniform(-1, 1, size=4)
-    out_a, _ = mlp_forward(params, x)
-    out_b, _ = mlp_forward(loaded, x)
-    assert np.array_equal(out_a, out_b)
+    agent = _small_agent(1)
+    save_agent(tmp_path / "agent.npz", agent)
+    loaded, _ = load_agent(tmp_path / "agent.npz")
+    for name in ("actor", "critic", "actor_target", "critic_target"):
+        a, b = getattr(agent, name), getattr(loaded, name)
+        assert (b.layer_sizes, b.beta, b.output_activation) == \
+            (a.layer_sizes, a.beta, a.output_activation)
+        assert b.flat().tobytes() == a.flat().tobytes()
+    x = derive_rng(2, 0).uniform(-1, 1, size=3)
+    assert np.array_equal(mlp_forward(loaded.actor, x)[0], mlp_forward(agent.actor, x)[0])
 
 
-def test_network_file_carries_version(tmp_path):
+def test_agent_file_carries_version(tmp_path):
     import json
 
-    params = mlp_init([2, 3, 1], 0.2, "linear", 1e-3, 1e-2, derive_rng(3, 0))
-    save_network(tmp_path / "net.npz", params)
-    meta = json.loads(str(np.load(tmp_path / "net.npz")["meta"]))
+    save_agent(tmp_path / "agent.npz", _small_agent(3))
+    meta = json.loads(str(np.load(tmp_path / "agent.npz")["meta"]))
     assert meta["version"] == 1
 
 
@@ -107,14 +105,13 @@ def test_sgd_and_rmsprop_agents_roundtrip(tmp_path, kind, moment, scalars):
 def test_unsupported_version_rejected(tmp_path):
     import json
 
-    params = mlp_init([2, 3, 1], 0.2, "linear", 1e-3, 1e-2, derive_rng(6, 0))
-    save_network(tmp_path / "net.npz", params)
-    data = dict(np.load(tmp_path / "net.npz"))
+    save_agent(tmp_path / "agent.npz", _small_agent(6))
+    data = dict(np.load(tmp_path / "agent.npz"))
     meta = json.loads(str(data.pop("meta")))
     meta["version"] = 99
     np.savez(tmp_path / "bad.npz", meta=json.dumps(meta), **data)
-    with pytest.raises(ConfigurationError):
-        load_network(tmp_path / "bad.npz")
+    with pytest.raises(ConfigurationError, match="unsupported agent checkpoint version 99"):
+        load_agent(tmp_path / "bad.npz")
 
 
 def _members(path):
@@ -188,10 +185,12 @@ def test_trainer_snapshot_members_are_stored_uncompressed(tmp_path):
 
 
 def test_path_without_suffix_gets_npz_appended(tmp_path):
-    params = mlp_init([2, 3, 1], 0.2, "linear", 1e-3, 1e-2, derive_rng(8, 0))
-    save_network(tmp_path / "net", params)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.npz"]
-    assert np.array_equal(load_network(tmp_path / "net.npz").flat(), params.flat())
+    agent = _small_agent(8)
+    save_agent(tmp_path / "agent", agent)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["agent.npz"]
+    loaded, _ = load_agent(tmp_path / "agent.npz")
+    assert np.array_equal(loaded.actor.flat(), agent.actor.flat())
+    assert np.array_equal(loaded.critic.flat(), agent.critic.flat())
 
 
 @pytest.mark.parametrize("damage", ["truncate", "not-a-zip", "missing-member", "absent"])

@@ -59,6 +59,20 @@ def test_out_of_range_config_exits_nonzero(tmp_path, capsys):
     assert "agent.gamma" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize("damage", ["broken-yaml", "missing", "override"])
+def test_unreadable_config_exits_with_configuration_error(tmp_path, capsys, damage):
+    path = tmp_path / "config.yaml"
+    if damage == "broken-yaml":
+        path.write_text("seed: [1,\n")
+    args = ["--override", "seed=[1,"] if damage == "override" else ["--config", str(path)]
+    rc = main(["gen-testcase", "--kind", "grid-steadystate", "--out", str(tmp_path / "x"), *args])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration"
+    assert ("seed=[1," if damage == "override" else f"cannot read config file {path}") \
+        in err["message"]
+
+
 def test_gen_testcase_and_eval_untrained_agent(tmp_path, capsys):
     # train.steps=0 leaves the freshly initialized policy untouched; the
     # evaluation must still produce the full 20-segment metric set.
@@ -219,18 +233,38 @@ def test_truncated_checkpoints_exit_with_configuration_error(paused_run, tmp_pat
     assert "cannot read checkpoint" in _error_record(capsys)["message"]
 
 
-@pytest.mark.parametrize("damage", ["junk", "no-meta"])
+# Malformed payloads of a well-formed file: (kind, payload) of 1000 steps.
+_BAD_PAYLOADS = {
+    "grid-2d": ("grid-steadystate", np.full((1000, 2), 50.0)),
+    "grid-nan": ("grid-steadystate", np.r_[np.full(999, 50.0), np.nan]),
+    "grid-zero": ("grid-steadystate", np.zeros(1000)),
+    "motor-1d": ("motor-steadystate", np.ones(1000)),
+    "motor-inf": ("motor-reference-profile", np.r_[np.ones((999, 2)), [[np.inf, 0.0]]]),
+}
+
+
+@pytest.mark.parametrize("damage", ["junk", "no-meta", *_BAD_PAYLOADS])
 def test_unreadable_testcase_exits_with_configuration_error(
         paused_run, tmp_path, capsys, damage):
     root, _, case_path = paused_run
     bad = tmp_path / "case.npz"
     if damage == "junk":
         bad.write_bytes(b"not a test case\n" * 64)
-    else:
+    elif damage == "no-meta":
         with np.load(case_path, allow_pickle=False) as data:
             np.savez(bad, payload=data["payload"])
+    else:
+        kind, payload = _BAD_PAYLOADS[damage]
+        np.savez(bad, payload=payload, meta=json.dumps({
+            "kind": kind, "seed": 8, "duration": 1000, "segment_length": 500, "version": 1}))
+    agent = root / "head" / "agent.npz"
+    if damage.startswith("grid-"):
+        # An agent of the case's plant, so that only the payload is wrong.
+        assert main(["train", "--out", str(tmp_path / "grid"), *FAST_TRAIN,
+                     "--override", "train.steps=0"]) == 0
+        agent = tmp_path / "grid" / "agent.npz"
     capsys.readouterr()
-    rc = main(["eval", "--checkpoint", str(root / "head" / "agent.npz"),
+    rc = main(["eval", "--checkpoint", str(agent),
                "--testcase", str(bad), "--override", "env.kind=motor",
                "--out", str(tmp_path / "evalout")])
     assert rc == 2

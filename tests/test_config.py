@@ -84,6 +84,8 @@ class TestValidation:
             parse_config(None, {"agent.batch_size": 32.5})
         with pytest.raises(ConfigurationError):
             parse_config(None, {"train.rescale_schedules": "perhaps"})
+        with pytest.raises(ConfigurationError):
+            parse_config(None, {"experiment.seeds": [1.5, 2]})
 
 
 class TestPrecedence:
@@ -173,8 +175,8 @@ class TestPlantKeys:
         assert keys == list(PLANT_KEYS)
         for key, (default, kind, lo, hi) in PLANT_KEYS.items():
             spec = SCHEMA[key]
-            assert (spec.default, spec.type, spec.lo, spec.hi) == (default, kind, lo, hi), key
-            assert type(spec.default) is type(default), key
+            assert (spec.default, spec.lo, spec.hi) == (default, lo, hi), key
+            assert type(spec.default).__name__ == kind and type(default).__name__ == kind, key
             assert spec.choices is None and not spec.scaled_by_horizon
 
     def test_echo_writes_plant_defaults_as_plain_numbers(self, tmp_path):

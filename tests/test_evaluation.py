@@ -86,6 +86,14 @@ class TestCases:
         assert loaded.segment_length == case.segment_length
         assert np.array_equal(loaded.payload, case.payload)
 
+    def test_motor_profile_payload_is_the_steady_state_payload(self):
+        for seed, segments in ((13, 20), (5, 3)):
+            profile = gen_motor_profile(seed, steps=segments * 400, segment_length=400,
+                                        motor_ref_radius=15.0)
+            steady = gen_steadystate_testcase("motor", seed, segments, 400, 15.0)
+            assert (profile.kind, profile.duration) == ("motor-reference-profile", segments * 400)
+            assert profile.payload.tobytes() == steady.payload.tobytes()
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(ConfigurationError):
             TestCase("grid-steadystate", 0, 999, 500, np.zeros(999))
@@ -145,6 +153,43 @@ class TestMetrics:
         meas = np.array([[100.0, 0.0]])  # five times the limit
         traj = make_traj("motor", ref, meas, limit=20.0)
         assert per_step_rewards(traj)[0] == pytest.approx(-0.5, abs=1e-12)
+
+
+def _former_per_step_rewards(traj):
+    ratio = np.minimum(np.abs(traj.reference - traj.measured) / traj.limit, 1.0)
+    return -np.sum(np.sqrt(ratio), axis=1) / traj.reference.shape[1]
+
+
+def _former_steady_state_metric(rewards, segment_length, skip):
+    means = np.empty(len(rewards) // segment_length)
+    for s in range(len(means)):
+        means[s] = np.mean(rewards[s * segment_length + skip:(s + 1) * segment_length])
+    return means, float(np.mean(means))
+
+
+class TestScoringOracle:
+    """The scoring path against the formulas it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rewards_and_windows_equal_the_former_formulas(self, d):
+        rng = np.random.default_rng(40 + d)
+        saturated = 0
+        for _ in range(60):
+            segment_length = int(rng.integers(2, 700))
+            skip = int(rng.integers(0, segment_length))
+            n = segment_length * int(rng.integers(1, 25))
+            limit = float(rng.uniform(1.0, 300.0))
+            ref = rng.uniform(-limit, limit, (n, d))
+            meas = ref + rng.standard_normal((n, d)) * limit * rng.uniform(0.01, 1.5)
+            saturated += int((np.abs(ref - meas) >= limit).sum())
+            traj = make_traj("grid" if d == 3 else "motor", ref, meas, limit)
+            rewards = per_step_rewards(traj)
+            assert rewards.tobytes() == _former_per_step_rewards(traj).tobytes()
+            means, overall = steady_state_metric(traj, segment_length, skip=skip)
+            former, former_overall = _former_steady_state_metric(rewards, segment_length, skip)
+            assert means.tobytes() == former.tobytes()
+            assert overall.hex() == former_overall.hex()
+        assert saturated > 0
 
 
 class TestBoxStats:
