@@ -2,15 +2,21 @@
 
 Two levels: a full agent (networks, targets, optimizer moments), and a
 complete training snapshot (agent plus replay buffer, noise/integrator
-state, rng states, and environment state) that resumes bit-exactly.  Members are stored uncompressed, as float64 weights,
-moments and replay rows barely deflate; older deflated files still load.
+state, rng states, and environment state) that resumes bit-exactly.
+Members are stored uncompressed, as float64 weights, moments and replay
+rows barely deflate.  A stored member whose npy header is the one numpy
+writes for its destination is read straight from the file into that
+vector; older deflated files, and members with any other header, are read
+through ``zipfile``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
+import struct
 import zipfile
 import zlib
 from pathlib import Path
@@ -23,6 +29,8 @@ from .nn.mlp import MlpParams
 
 FORMAT_VERSION = 1
 _READ_CHUNK = 1 << 18  # bytes
+# A zip local file header: signature, flags, method, name and extra lengths.
+_LOCAL_HEADER = struct.Struct("<4s2xHH16xHH")
 # What reading a damaged, truncated or foreign npz file can raise.
 READ_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error)
 
@@ -54,23 +62,100 @@ def _unjsonable(obj):
 
 # -- file format -----------------------------------------------------------
 
-def _write_npz(path: str | Path, meta: dict, arrays: dict) -> None:
-    """Write ``meta`` (json, with the format version) and ``arrays`` to a
-    temporary file beside ``path``, then rename it over ``path``: a crash or
-    kill mid-write leaves the previous file intact (no fsync, so not power
-    loss).  Like ``np.savez``, a missing ``.npz`` suffix is appended."""
+@contextlib.contextmanager
+def atomic_write(path: str | Path, text: bool = False, suffix: str = ""):
+    """Yield a new file (text, with newlines untranslated, or binary) on a
+    temporary name beside ``path``, and rename it over ``path`` when the
+    block ends: a crash or kill mid-write leaves the previous file intact
+    (no fsync, so not power loss), and a failed write leaves no temporary
+    file.  Like ``np.savez``, a missing ``suffix`` is appended."""
     dest = os.fspath(path)
-    if not dest.endswith(".npz"):
-        dest += ".npz"
+    if not dest.endswith(suffix):
+        dest += suffix
     tmp = f"{dest}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(tmp, "xb") as fh:
-            np.savez(fh, meta=json.dumps({"version": FORMAT_VERSION, **meta}), **arrays)
+        with (open(tmp, "x", encoding="utf-8", newline="") if text else open(tmp, "xb")) as fh:
+            yield fh
         os.replace(tmp, dest)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def _write_npz(path: str | Path, meta: dict, arrays: dict) -> None:
+    """Write ``meta`` (json, with the format version) and ``arrays``, each
+    member stored, through ``atomic_write``."""
+    with atomic_write(path, suffix=".npz") as fh:
+        np.savez(fh, meta=json.dumps({"version": FORMAT_VERSION, **meta}), **arrays)
+
+
+def _npy_header(shape: tuple, dtype: np.dtype) -> bytes:
+    """The version 1.0 npy header numpy writes for a C-order array."""
+    fh = io.BytesIO()
+    np.lib.format.write_array_header_1_0(fh, {
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape})
+    return fh.getvalue()
+
+
+def _bytes_of(out: np.ndarray) -> memoryview:
+    """``out``'s bytes, writable in place (memoryview refuses to cast an
+    empty view, such as the rows of an empty replay ring)."""
+    return memoryview(out).cast("B") if out.size else memoryview(bytearray())
+
+
+def _read_stored(zf: zipfile.ZipFile, key: str, out: np.ndarray) -> bool:
+    """Read member ``key`` straight from the file into ``out`` and return
+    True when it is stored, has no flag bits set and begins with the npy
+    header numpy writes for ``out``; else read nothing and return False.
+    A short read, or a stored size or CRC that disagrees, raises
+    ConfigurationError."""
+    info = zf.getinfo(f"{key}.npy")
+    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits:
+        return False
+    header = _npy_header(out.shape, out.dtype)
+    zf.fp.seek(info.header_offset)
+    local = zf.fp.read(_LOCAL_HEADER.size)
+    if len(local) != _LOCAL_HEADER.size:
+        return False
+    signature, flags, method, name_len, extra_len = _LOCAL_HEADER.unpack(local)
+    head = zf.fp.read(name_len + extra_len + len(header))
+    if ((signature, flags, method) != (b"PK\x03\x04", 0, zipfile.ZIP_STORED)
+            or head[:name_len] != info.orig_filename.encode()
+            or head[name_len + extra_len:] != header):
+        return False
+    size = len(header) + out.nbytes
+    if info.file_size != size:
+        raise ConfigurationError(
+            f"checkpoint member {key} is truncated" if info.file_size < size
+            else f"checkpoint member {key} is longer than its header says")
+    dest = _bytes_of(out)
+    if zf.fp.readinto(dest) != out.nbytes:
+        raise ConfigurationError(f"checkpoint member {key} is truncated")
+    if zlib.crc32(dest, zlib.crc32(header)) != info.CRC:
+        raise ConfigurationError(f"checkpoint member {key} fails its CRC check")
+    return True
+
+
+def _read_into(data, key: str, out: np.ndarray) -> None:
+    """Read npz member ``key`` straight into the view ``out``: through
+    ``_read_stored`` when it can, else through ``zipfile``, which checks the
+    CRC.  A member of another shape or dtype raises ConfigurationError."""
+    if _read_stored(data.zip, key, out):
+        return
+    with data.zip.open(f"{key}.npy") as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ConfigurationError(f"checkpoint member {key}: unsupported npy version")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        if (shape, fortran_order, dtype) != (out.shape, False, out.dtype):
+            raise ConfigurationError(
+                f"checkpoint member {key}: {dtype}{shape}, expected {out.dtype}{out.shape}")
+        # Chunked like np.load: a small reused read buffer stays in cache.
+        dest = _bytes_of(out)
+        for at in range(0, out.nbytes, _READ_CHUNK):
+            chunk = dest[at:at + _READ_CHUNK]
+            if fh.readinto(chunk) != len(chunk):
+                raise ConfigurationError(f"checkpoint member {key} is truncated")
 
 
 @contextlib.contextmanager
@@ -100,24 +185,6 @@ def _pack_network(prefix: str, params: MlpParams, arrays: dict) -> dict:
         "beta": params.beta,
         "output_activation": params.output_activation,
     }
-
-
-def _read_into(data, key: str, out: np.ndarray) -> None:
-    """Read npz member ``key`` straight into the view ``out``; a member of
-    another shape or dtype raises ConfigurationError."""
-    with data.zip.open(f"{key}.npy") as fh:
-        if np.lib.format.read_magic(fh) != (1, 0):
-            raise ConfigurationError(f"checkpoint member {key}: unsupported npy version")
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-        if (shape, fortran_order, dtype) != (out.shape, False, out.dtype):
-            raise ConfigurationError(
-                f"checkpoint member {key}: {dtype}{shape}, expected {out.dtype}{out.shape}")
-        # Chunked like np.load: a small reused read buffer stays in cache.
-        dest = memoryview(out).cast("B")
-        for at in range(0, out.nbytes, _READ_CHUNK):
-            chunk = dest[at:at + _READ_CHUNK]
-            if fh.readinto(chunk) != len(chunk):
-                raise ConfigurationError(f"checkpoint member {key} is truncated")
 
 
 def _unpack_network(prefix: str, meta: dict, data, params: MlpParams) -> None:

@@ -22,6 +22,7 @@ from .ddpg.agent import AgentConfig
 from .ddpg.train import TrainSettings
 from .envs.grid import GridParams
 from .envs.motor import MotorParams
+from .evaluation.metrics import STEADY_STATE_SKIP, require_steady_state_window
 from .nn.optim import OPTIMIZERS
 from .sec import SecRewardConfig
 
@@ -311,6 +312,9 @@ def parse_config(
                 raise ConfigurationError(f"unknown config key {key!r} {source}")
             values[key] = _coerce(key, val, SCHEMA[key].default)
     _validate_ranges(values)
+    # Not liftable by allow_out_of_range: scoring would fail after training.
+    if values["env.kind"] in STEADY_STATE_SKIP:
+        require_steady_state_window(values["env.kind"], values["experiment.segment_length"])
     return RunConfig(values)
 
 

@@ -29,14 +29,20 @@ import numpy as np
 from .. import ConfigurationError
 from ..baselines.grid_cascade import CascadeGains, GridCascadePolicy, tune_grid_cascade
 from ..baselines.pi import MotorPiPolicy
-from ..checkpoint import save_agent, save_trainer
+from ..checkpoint import atomic_write, save_agent, save_trainer
 from ..config import RL_VARIANTS, RunConfig
 from ..ddpg.train import Trainer, TrainResult
 from ..envs.grid import GridEnv
 from ..envs.motor import MotorEnv
 from ..nn.mlp import MlpParams, mlp_forward
 from ..sec import SecActionWrapper
-from .metrics import Trajectory, box_stats, mean_task_reward, steady_state_metric
+from .metrics import (
+    Trajectory,
+    box_stats,
+    mean_task_reward,
+    require_steady_state_window,
+    steady_state_metric,
+)
 from .testcases import (
     GRID_LOAD_PROFILE,
     GRID_STEADYSTATE,
@@ -195,7 +201,7 @@ def make_testcase(cfg: RunConfig, kind: str, seed: int, steps: int | None = None
     """The frozen test case of `kind` and `seed` under `cfg`; `steps`
     (>= 1) overrides the configured length of a transient profile.  A
     steady-state case's length is set by its segments, so it refuses
-    `steps`."""
+    `steps`, and its segments must leave its plant a steady-state window."""
     seg_len = cfg["experiment.segment_length"]
     radius = cfg["env.motor.reference_radius"] * cfg["env.motor.i_lim"]
     if kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
@@ -203,6 +209,7 @@ def make_testcase(cfg: RunConfig, kind: str, seed: int, steps: int | None = None
             raise ConfigurationError(
                 f"steps applies to transient profiles only; the length of {kind} is "
                 "experiment.segments x experiment.segment_length")
+        require_steady_state_window(_CASE_PLANT[kind].name, seg_len)
         return gen_steadystate_testcase(kind, seed, cfg["experiment.segments"], seg_len, radius)
     if steps is not None and steps < 1:
         raise ConfigurationError(f"test case steps must be >= 1, got {steps}")
@@ -374,9 +381,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> dict:
             cfg.grid_params(), seed=cfg["experiment.pi_tune_seed"],
             steps=cfg["experiment.pi_tune_steps"],
         )
-        (plan.out_dir / "pi_tuning.json").write_text(json.dumps(
-            {"best": pi_gains.as_dict(), "best_score": tune_report["best_score"],
-             "trials": len(tune_report["trials"])}, indent=1))
+        with atomic_write(plan.out_dir / "pi_tuning.json", text=True) as fh:
+            fh.write(json.dumps({"best": pi_gains.as_dict(), "best_score": tune_report["best_score"],
+                                 "trials": len(tune_report["trials"])}, indent=1))
 
     # Seed-major order: interrupting a long batch still leaves balanced
     # variant coverage for every completed seed.
@@ -422,8 +429,9 @@ def keep_freed_memory() -> None:
 
 
 def write_report(path: Path, records: list[dict]) -> None:
-    """``report.csv``: the metric rows of each (variant, seed) record."""
-    with open(path, "w", newline="") as fh:
+    """``report.csv``: the metric rows of each (variant, seed) record,
+    written through ``atomic_write``."""
+    with atomic_write(path, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "test_case_id", "metric_name", "value"])
         for rec in sorted(records, key=lambda r: (r["variant"], r["seed"])):
@@ -463,5 +471,6 @@ def _write_reports(plan: ExperimentPlan, records: list[dict]) -> dict:
             summary["metrics"][metric]["best_improvement_fraction"] = (
                 (abs(best_ddpg) - abs(best_sec)) / abs(best_ddpg) if best_ddpg != 0 else 0.0
             )
-    (plan.out_dir / "summary.json").write_text(json.dumps(summary, indent=1))
+    with atomic_write(plan.out_dir / "summary.json", text=True) as fh:
+        fh.write(json.dumps(summary, indent=1))
     return summary

@@ -81,6 +81,20 @@ def mean_task_reward(traj: Trajectory) -> float:
     return float(np.mean(per_step_rewards(traj)))
 
 
+# Steps dropped at the start of every steady-state segment, per plant: the
+# motor current loop settles more slowly than the grid voltage.
+STEADY_STATE_SKIP = {"grid": 100, "motor": 200}
+
+
+def require_steady_state_window(kind: str, segment_length: int) -> None:
+    """Refuse a `segment_length` that leaves no steady-state window on
+    plant `kind` (ConfigurationError)."""
+    if segment_length <= STEADY_STATE_SKIP[kind]:
+        raise ConfigurationError(
+            f"experiment.segment_length={segment_length} leaves no steady-state window: "
+            f"it must exceed the {STEADY_STATE_SKIP[kind]} steps skipped on the {kind} plant")
+
+
 def steady_state_metric(
     traj: Trajectory,
     segment_length: int = 500,
@@ -88,12 +102,12 @@ def steady_state_metric(
 ) -> tuple[np.ndarray, float]:
     """Per-segment means with the transient window dropped.
 
-    The first `skip` steps of every segment are discarded (100 for the grid
-    plant, 200 for the slower motor loop) and the task reward is averaged
-    over the remainder; returns (per-segment means, their mean).
+    The first `skip` steps of every segment are discarded (by default the
+    plant's STEADY_STATE_SKIP) and the task reward is averaged over the
+    remainder; returns (per-segment means, their mean).
     """
     if skip is None:
-        skip = 100 if traj.kind == "grid" else 200
+        skip = STEADY_STATE_SKIP[traj.kind]
     n = len(traj)
     if segment_length <= skip:
         raise ConfigurationError("segment_length must exceed the skipped window")

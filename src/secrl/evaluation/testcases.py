@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import ConfigurationError
-from ..checkpoint import READ_ERRORS
+from ..checkpoint import READ_ERRORS, atomic_write
 from ..envs.grid import R_LOAD_MAX, R_LOAD_MIN, seeded_load_series
 from ..seeding import STREAM_ENV, derive_rng
 
@@ -58,15 +58,16 @@ class TestCase:
         return f"{self.kind}-seed{self.seed}"
 
     def save(self, path: str | Path) -> None:
-        np.savez_compressed(
-            path,
-            payload=self.payload,
-            meta=json.dumps({
-                "kind": self.kind, "seed": self.seed,
-                "duration": self.duration, "segment_length": self.segment_length,
-                "version": 1,
-            }),
-        )
+        with atomic_write(path, suffix=".npz") as fh:
+            np.savez_compressed(
+                fh,
+                payload=self.payload,
+                meta=json.dumps({
+                    "kind": self.kind, "seed": self.seed,
+                    "duration": self.duration, "segment_length": self.segment_length,
+                    "version": 1,
+                }),
+            )
 
     @classmethod
     def load(cls, path: str | Path) -> "TestCase":

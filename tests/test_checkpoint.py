@@ -1,14 +1,19 @@
 """Serialization: versioned full-agent files and round trips,
-atomic writes, older deflated files and unreadable files."""
+atomic writes, older deflated files, unreadable files, and the direct
+reader of stored members (CRC, size and header checks)."""
 
+import json
+import struct
 import zipfile
 
 import numpy as np
 import pytest
+from test_cli import FAST_TRAIN
 from test_train import make_sec_grid_trainer
 
 from secrl import ConfigurationError
 from secrl.checkpoint import load_agent, load_trainer_into, save_agent, save_trainer
+from secrl.cli import main
 from secrl.ddpg.agent import AgentConfig, DdpgAgent, actor_update, critic_update
 from secrl.nn.mlp import mlp_forward
 from secrl.seeding import derive_rng
@@ -344,3 +349,129 @@ def test_resume_reads_into_the_trainers_own_vectors(tmp_path):
     assert np.array_equal(a.critic.flat(), trainer.agent.critic.flat())
     assert a.critic_opt.step == trainer.agent.critic_opt.step > 0
     assert np.array_equal(a.actor_opt.m, trainer.agent.actor_opt.m)
+
+
+# -- the direct reader of stored members ------------------------------------
+
+def _member_end(path, key) -> int:
+    """The file offset just past member ``key``'s bytes."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(f"{key}.npy")
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+    return info.header_offset + 30 + name_len + extra_len + info.file_size
+
+
+def _rewrite_member(path, key, change) -> None:
+    """Rewrite ``path`` with every member stored as before, except that
+    member ``key``'s bytes become ``change(bytes)`` (with a matching CRC)."""
+    with zipfile.ZipFile(path) as zf:
+        members = [(name, zf.read(name)) for name in zf.namelist()]
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, blob in members:
+            zf.writestr(name, change(blob) if name == f"{key}.npy" else blob)
+
+
+def _older_npy_header(shape) -> bytes:
+    """The npy 1.0 header of a float64 C-order array as older numpy wrote
+    it: padded to a multiple of 16 bytes, not 64, with no spare shape
+    digits."""
+    text = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape!r}, }}"
+    pad = 16 - (10 + len(text) + 1) % 16
+    return (b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text) + pad + 1)
+            + text.encode() + b" " * pad + b"\n")
+
+
+def _opened_members(monkeypatch) -> list:
+    """Names of the members read through ``ZipFile.open`` from now on."""
+    opened = []
+    zip_open = zipfile.ZipFile.open
+
+    def spy(self, name, *args, **kwargs):
+        opened.append(name)
+        return zip_open(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "open", spy)
+    return opened
+
+
+def _flip_ring_byte(path) -> None:
+    """Flip the low bit of a float64 near the end of ``buf_obs``: the value
+    stays finite, so only the CRC can tell."""
+    blob = bytearray(path.read_bytes())
+    blob[_member_end(path, "buf_obs") - 8 * 5] ^= 0x01
+    path.write_bytes(blob)
+
+
+def test_flipped_byte_in_a_stored_ring_member_is_refused(tmp_path, capsys):
+    path = tmp_path / "ck.npz"
+    trainer = make_sec_grid_trainer(seed=14, steps=60, episode_steps=30)
+    trainer.run()
+    save_trainer(path, trainer)
+    _flip_ring_byte(path)
+    with pytest.raises(ConfigurationError, match="checkpoint member buf_obs fails its CRC check"):
+        load_trainer_into(path, make_sec_grid_trainer(seed=14, steps=60, episode_steps=30))
+
+    base = ["--override", "env.kind=motor", *FAST_TRAIN, "--seed", "11"]
+    assert main(["train", "--out", str(tmp_path / "head"), *base, "--until-step", "60"]) == 0
+    path = tmp_path / "head" / "checkpoint.npz"
+    _flip_ring_byte(path)
+    capsys.readouterr()
+    assert main(["train", "--out", str(tmp_path / "tail"), *base, "--resume", str(path)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "configuration"
+    assert "checkpoint member buf_obs" in record["message"]
+
+
+def test_member_with_older_header_padding_loads_bit_exact_through_zipfile(
+        tmp_path, monkeypatch):
+    trainer = make_sec_grid_trainer(seed=15, steps=120, episode_steps=90)
+    trainer.run()
+    save_trainer(tmp_path / "stored.npz", trainer, config_echo={"seed": 15})
+    (tmp_path / "older.npz").write_bytes((tmp_path / "stored.npz").read_bytes())
+    rows = trainer.buffer.rows(len(trainer.buffer))["obs"]
+    header = _older_npy_header(rows.shape)
+
+    def repad(blob):
+        assert blob[:len(blob) - rows.nbytes] != header
+        return header + blob[len(blob) - rows.nbytes:]
+
+    _rewrite_member(tmp_path / "older.npz", "buf_obs", repad)
+    assert np.array_equal(_members(tmp_path / "older.npz")["buf_obs"],
+                          _members(tmp_path / "stored.npz")["buf_obs"])
+
+    fresh = make_sec_grid_trainer(seed=15, steps=120, episode_steps=90)
+    opened = _opened_members(monkeypatch)
+    load_trainer_into(tmp_path / "older.npz", fresh)
+    monkeypatch.undo()
+    # Only meta and the repadded member went through zipfile.
+    assert opened == ["meta.npy", "buf_obs.npy"]
+    save_trainer(tmp_path / "again.npz", fresh, config_echo={"seed": 15})
+    _assert_same_snapshot(tmp_path / "stored.npz", tmp_path / "again.npz")
+
+
+def test_stored_member_shorter_than_its_header_says_is_truncated(tmp_path):
+    path = tmp_path / "ck.npz"
+    trainer = make_sec_grid_trainer(seed=16, steps=60, episode_steps=30)
+    trainer.run()
+    save_trainer(path, trainer)
+    # buf_act is followed by other members, so a reader that trusted the
+    # header would read their bytes.
+    with zipfile.ZipFile(path) as zf:
+        assert zf.namelist().index("buf_act.npy") < len(zf.namelist()) - 1
+    _rewrite_member(path, "buf_act", lambda blob: blob[:-8])
+    with pytest.raises(ConfigurationError, match="checkpoint member buf_act is truncated"):
+        load_trainer_into(path, make_sec_grid_trainer(seed=16, steps=60, episode_steps=30))
+
+
+def test_snapshot_of_an_empty_ring_resumes(tmp_path):
+    path = tmp_path / "ck.npz"
+    trainer = make_sec_grid_trainer(seed=17, steps=60, episode_steps=30)
+    save_trainer(path, trainer)
+    resumed = make_sec_grid_trainer(seed=17, steps=60, episode_steps=30)
+    load_trainer_into(path, resumed)
+    assert len(resumed.buffer) == 0
+    resumed.run()
+    trainer.run()
+    assert resumed.agent.critic.flat().tobytes() == trainer.agent.critic.flat().tobytes()

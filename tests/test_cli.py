@@ -397,6 +397,31 @@ def test_gen_testcase_refuses_misread_steps(tmp_path, capsys, kind, steps):
     assert not list(out.glob("*.npz"))
 
 
+def test_compare_refuses_segments_without_a_steady_state_window(tmp_path, capsys):
+    # The motor plant skips 200 steps of each segment: exit 2 before any run.
+    out = tmp_path / "cmp"
+    assert main(["compare", "--out", str(out), "--override", "env.kind=motor",
+                 "--override", "experiment.variants=pi", "--override", "experiment.seeds=1",
+                 "--override", "experiment.segments=2",
+                 "--override", "experiment.segment_length=150",
+                 "--override", "experiment.motor_profile_steps=300"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "configuration"
+    assert "experiment.segment_length=150" in record["message"]
+    assert not out.exists()
+
+
+def test_gen_testcase_refuses_the_other_plants_case_without_a_window(tmp_path, capsys):
+    # 150 steps leave the grid plant a window (it skips 100), not the motor.
+    base = ["--out", str(tmp_path), "--override", "env.kind=grid",
+            "--override", "experiment.segment_length=150", "--override", "experiment.segments=2"]
+    assert main(["gen-testcase", "--kind", "motor-steadystate", *base]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "configuration" and "200 steps" in record["message"]
+    assert not list(tmp_path.glob("*.npz"))
+    assert main(["gen-testcase", "--kind", "grid-steadystate", *base]) == 0
+
+
 @pytest.mark.parametrize("damage, message", [
     ("width", "checkpoint member buf_obs: float64(60, 19), expected float64(60, 20)"),
     ("count", "replay count 121 outside [0, 120]"),

@@ -7,6 +7,7 @@ import pytest
 
 from secrl import ConfigurationError
 from secrl.config import FULL_SCALE_STEPS, SCHEMA, parse_config, parse_override_strings
+from secrl.evaluation.metrics import STEADY_STATE_SKIP
 
 
 class TestDefaults:
@@ -78,6 +79,20 @@ class TestValidation:
             parse_config(None, {"agent.variant": "td3"})
         with pytest.raises(ConfigurationError):
             parse_config(None, {"experiment.variants": ["ddpg", "sac"]})
+
+    @pytest.mark.parametrize("kind, length, accepted", [
+        ("grid", 100, False), ("grid", 101, True), ("motor", 200, False), ("motor", 201, True),
+    ])
+    def test_segment_length_must_leave_a_steady_state_window(self, kind, length, accepted):
+        values = {"env.kind": kind, "experiment.segment_length": length}
+        if accepted:
+            assert parse_config(None, values)["experiment.segment_length"] == length
+            return
+        # Scoring would fail after training, so allow_out_of_range cannot lift it.
+        for allow in (False, True):
+            with pytest.raises(ConfigurationError, match=f"segment_length={length} leaves no "
+                               f"steady-state window.* {STEADY_STATE_SKIP[kind]} steps"):
+                parse_config(None, {**values, "allow_out_of_range": allow})
 
     def test_type_coercion_failures(self):
         with pytest.raises(ConfigurationError):

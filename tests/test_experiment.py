@@ -21,6 +21,7 @@ from secrl.evaluation.experiment import (
     eval_seed_for,
     rollout,
     run_experiment,
+    write_report,
 )
 from secrl.evaluation.testcases import gen_steadystate_testcase
 from secrl.nn.mlp import mlp_forward, mlp_init
@@ -296,3 +297,30 @@ class TestTrainCadences:
         assert progress == [25, 50, 75, 100]
         assert snapshots == [40, 80, 120]
         assert len(progress) + len(snapshots) == len(messages)
+
+
+def test_failed_report_write_keeps_the_previous_report(tmp_path):
+    path = tmp_path / "report.csv"
+    row = {"test_case_id": "grid-steadystate-seed1", "metric_name": "mean_reward", "value": -0.5}
+    write_report(path, [{"variant": "pi", "seed": 1, "rows": [row]}])
+    before = path.read_bytes()
+    with pytest.raises(KeyError):
+        write_report(path, [{"variant": "pi", "seed": 1, "rows": [row, {"value": -0.4}]}])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_failed_testcase_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "case.npz"
+    gen_steadystate_testcase("grid", seed=1, segments=2, segment_length=500).save(path)
+    before = path.read_bytes()
+
+    def failing_write_array(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np.lib.format, "write_array", failing_write_array)
+    with pytest.raises(OSError, match="disk full"):
+        gen_steadystate_testcase("grid", seed=2, segments=2, segment_length=500).save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["case.npz"]

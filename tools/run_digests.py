@@ -145,6 +145,11 @@ def main(argv=None) -> int:
                         help="directory to import secrl from (default: this tree's src)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
+    import secrl
+
+    # An installed secrl that shadows --src would digest the wrong tree.
+    if not Path(secrl.__file__).resolve().is_relative_to(args.src.resolve()):
+        raise SystemExit(f"secrl imports from {secrl.__file__}, not from {args.src}")
     with tempfile.TemporaryDirectory(prefix="secrl-digests-") as tmp:
         root = Path(tmp)
         # The CLI's own prints go to stderr, so stdout holds the digests only.
