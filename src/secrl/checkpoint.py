@@ -7,12 +7,14 @@ Members are stored uncompressed, as float64 weights, moments and replay
 rows barely deflate.  A stored member whose npy header is the one numpy
 writes for its destination is read straight from the file into that
 vector; older deflated files, and members with any other header, are read
-through ``zipfile``.
+through ``zipfile``.  ``atomic_write`` here is the one writer of every file
+a run leaves, checkpoints, CSVs (``write_csv``), json and yaml alike.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -35,28 +37,20 @@ _LOCAL_HEADER = struct.Struct("<4s2xHH16xHH")
 READ_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error)
 
 
-def _jsonable(obj):
-    """Recursively convert numpy values so json can store them."""
+def _encode(obj):
+    """json's ``default``: numpy values as json can store them; arrays keep
+    their dtype (decoded by ``_decode``)."""
     if isinstance(obj, np.ndarray):
         return {"__nd__": obj.tolist(), "dtype": str(obj.dtype)}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _unjsonable(obj):
-    if isinstance(obj, dict):
-        if "__nd__" in obj:
-            return np.asarray(obj["__nd__"], dtype=obj.get("dtype", "float64"))
-        return {k: _unjsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_unjsonable(v) for v in obj]
+def _decode(obj: dict):
+    """json's ``object_hook``: the arrays that ``_encode`` stored."""
+    if "__nd__" in obj:
+        return np.asarray(obj["__nd__"], dtype=obj.get("dtype", "float64"))
     return obj
 
 
@@ -87,7 +81,16 @@ def _write_npz(path: str | Path, meta: dict, arrays: dict) -> None:
     """Write ``meta`` (json, with the format version) and ``arrays``, each
     member stored, through ``atomic_write``."""
     with atomic_write(path, suffix=".npz") as fh:
-        np.savez(fh, meta=json.dumps({"version": FORMAT_VERSION, **meta}), **arrays)
+        np.savez(fh, meta=json.dumps({"version": FORMAT_VERSION, **meta}, default=_encode),
+                 **arrays)
+
+
+def write_csv(path: str | Path, header: list, rows) -> None:
+    """A CSV file of ``header`` and ``rows``, through ``atomic_write``."""
+    with atomic_write(path, text=True) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _npy_header(shape: tuple, dtype: np.dtype) -> bytes:
@@ -160,16 +163,19 @@ def _read_into(data, key: str, out: np.ndarray) -> None:
 
 @contextlib.contextmanager
 def _reading(path: str | Path, kind: str):
-    """Yield ``(meta, data)``; unreadable files, missing members or meta
-    fields of the wrong kind (also when looked up inside the ``with``
-    block) and other versions raise ConfigurationError."""
+    """Yield ``(meta, data)``, the meta decoded by ``_decode``; unreadable
+    files, missing members or meta fields of the wrong kind (also when
+    looked up inside the ``with`` block) and other versions raise
+    ConfigurationError, and one raised inside the block passes as is."""
     try:
         with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
+            meta = json.loads(str(data["meta"]), object_hook=_decode)
             if meta.get("version") != FORMAT_VERSION:
                 raise ConfigurationError(
                     f"unsupported {kind} checkpoint version {meta.get('version')}")
             yield meta, data
+    except ConfigurationError:
+        raise
     except READ_ERRORS as exc:
         raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from exc
 
@@ -243,7 +249,7 @@ _OPTIMIZER_STATES = (("actor_opt", "aopt"), ("critic_opt", "copt"))
 
 
 def _pack_agent(agent: DdpgAgent, arrays: dict) -> dict:
-    meta = {"agent_config": _jsonable(vars(agent.config))}
+    meta = {"agent_config": vars(agent.config)}
     for name, prefix in _NETWORKS:
         meta[name] = _pack_network(prefix, getattr(agent, name), arrays)
     for name, prefix in _OPTIMIZER_STATES:
@@ -264,7 +270,7 @@ def _unpack_agent(meta: dict, data, agent: DdpgAgent) -> None:
 def save_agent(path: str | Path, agent: DdpgAgent, extra: dict | None = None) -> None:
     arrays: dict = {}
     meta = _pack_agent(agent, arrays)
-    meta["extra"] = _jsonable(extra or {})
+    meta["extra"] = extra or {}
     _write_npz(path, meta, arrays)
 
 
@@ -274,10 +280,9 @@ def load_agent(path: str | Path) -> tuple[DdpgAgent, dict]:
     that disagree with that config raise ConfigurationError."""
     with _reading(path, "agent") as (meta, data):
         # The seed is arbitrary: the stored parameters overwrite the init.
-        agent = DdpgAgent(AgentConfig(**_unjsonable(meta["agent_config"])),
-                          np.random.default_rng(0))
+        agent = DdpgAgent(AgentConfig(**meta["agent_config"]), np.random.default_rng(0))
         _unpack_agent(meta, data, agent)
-        return agent, _unjsonable(meta["extra"])
+        return agent, meta["extra"]
 
 
 # -- full training snapshots ------------------------------------------------
@@ -287,16 +292,42 @@ def save_trainer(path: str | Path, trainer, config_echo: dict | None = None) -> 
     buffer = state.pop("buffer")
     arrays = {f"buf_{k}": v for k, v in buffer.items() if isinstance(v, np.ndarray)}
     meta = _pack_agent(trainer.agent, arrays)
-    meta["trainer_state"] = _jsonable(state)
+    meta["trainer_state"] = state
     meta["buffer_scalars"] = {"cursor": buffer["cursor"], "count": buffer["count"]}
-    meta["config_echo"] = _jsonable(config_echo or {})
+    meta["config_echo"] = config_echo or {}
     _write_npz(path, meta, arrays)
 
 
-def load_config_echo(path: str | Path) -> dict:
-    """The effective configuration stored by ``save_trainer``."""
-    with _reading(path, "trainer") as (meta, _):
-        return meta["config_echo"]
+def _check_config(path, stored: dict, current: dict) -> None:
+    """Refuse a snapshot written under other config values than
+    ``current``'s; only the output directory may change."""
+    stored, current = stored.get("values", {}), current["values"]
+    missing = "<unset>"
+    diffs = [f"{key}: checkpoint {stored.get(key, missing)!r}, now {current.get(key, missing)!r}"
+             for key in sorted(stored.keys() | current.keys())
+             if key != "out_dir" and stored.get(key, missing) != current.get(key, missing)]
+    if diffs:
+        raise ConfigurationError(
+            f"checkpoint {path} was written with a different config: " + "; ".join(diffs))
+
+
+def _check_layout(stored, live, where: str = "trainer_state") -> None:
+    """Refuse a stored trainer state whose dicts hold other keys, or whose
+    arrays have other shapes, than the ``live`` one's; list lengths and
+    scalar values are left to ``Trainer.load_state_dict``."""
+    if isinstance(live, dict):
+        if not isinstance(stored, dict):
+            raise ConfigurationError(f"checkpoint {where}: {type(stored).__name__}, expected a dict")
+        for label, keys in (("missing", live.keys() - stored.keys()),
+                            ("unexpected", stored.keys() - live.keys())):
+            if keys:
+                raise ConfigurationError(f"checkpoint {where}: {label} {sorted(keys)}")
+        for key, value in live.items():
+            _check_layout(stored[key], value, f"{where}.{key}")
+    elif isinstance(live, np.ndarray):
+        shape = stored.shape if isinstance(stored, np.ndarray) else type(stored).__name__
+        if shape != live.shape:
+            raise ConfigurationError(f"checkpoint {where}: shape {shape}, expected {live.shape}")
 
 
 def _unpack_buffer(scalars: dict, data, buffer) -> None:
@@ -309,11 +340,18 @@ def _unpack_buffer(scalars: dict, data, buffer) -> None:
     buffer.restore(count, scalars["cursor"])
 
 
-def load_trainer_into(path: str | Path, trainer) -> None:
+def load_trainer_into(path: str | Path, trainer, config_echo: dict | None = None) -> None:
     """Restore a snapshot into a Trainer built from the identical config,
-    reading it straight into the trainer's networks, moments and ring."""
+    reading it straight into the trainer's networks, moments and ring.
+    Before any member is read, a stored config other than ``config_echo``
+    (when given) and a stored trainer state of another layout than
+    ``trainer``'s raise ConfigurationError."""
     with _reading(path, "trainer") as (meta, data):
+        if config_echo is not None:
+            _check_config(path, meta["config_echo"], config_echo)
+        live = trainer.state_dict()
+        del live["buffer"]
+        _check_layout(meta["trainer_state"], live)
         _unpack_agent(meta, data, trainer.agent)
         _unpack_buffer(meta["buffer_scalars"], data, trainer.buffer)
-        state = _unjsonable(meta["trainer_state"])
-    trainer.load_state_dict(state)
+        trainer.load_state_dict(meta["trainer_state"])

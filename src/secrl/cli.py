@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import ConfigurationError, EnvironmentFault, TrainingFault
-from .checkpoint import load_agent, load_config_echo, load_trainer_into
+from .checkpoint import load_agent, load_trainer_into
 from .config import RL_VARIANTS, RunConfig, parse_config, parse_override_strings
 from .evaluation.experiment import (
     AgentPolicy,
@@ -55,20 +55,6 @@ def _load_config(args) -> tuple[RunConfig, int, Path]:
     return cfg, cfg["seed"], out_dir
 
 
-def _check_resume_config(path: Path, cfg: RunConfig) -> None:
-    """Refuse to resume a snapshot written under different config values;
-    only the output directory may change."""
-    stored = load_config_echo(path).get("values", {})
-    current = json.loads(cfg.to_json())["values"]
-    missing = "<unset>"
-    diffs = [f"{key}: checkpoint {stored.get(key, missing)!r}, now {current.get(key, missing)!r}"
-             for key in sorted(stored.keys() | current.keys())
-             if key != "out_dir" and stored.get(key, missing) != current.get(key, missing)]
-    if diffs:
-        raise ConfigurationError(
-            f"checkpoint {path} was written with a different config: " + "; ".join(diffs))
-
-
 def cmd_train(args) -> int:
     keep_freed_memory()
     cfg, seed, out_dir = _load_config(args)
@@ -76,14 +62,14 @@ def cmd_train(args) -> int:
     if variant not in RL_VARIANTS:
         raise ConfigurationError(
             f"agent.variant must be {' or '.join(RL_VARIANTS)} for train, got {variant!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.echo(out_dir / "effective_config.yaml")
-
     trainer = build_trainer(cfg, variant, seed)
     if args.resume is not None:
-        _check_resume_config(args.resume, cfg)
-        load_trainer_into(args.resume, trainer)
+        # Only the output directory may differ from the snapshot's config.
+        load_trainer_into(args.resume, trainer, config_echo=json.loads(cfg.to_json()))
         log.info("resumed from %s at step %d", args.resume, trainer.step)
+    # Echoed once the resume is accepted: a refused one leaves --out untouched.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.echo(out_dir / "effective_config.yaml")
     start = trainer.step
     try:
         result = train_agent(trainer, cfg, variant, out_dir, until_step=args.until_step)

@@ -18,6 +18,7 @@ from pathlib import Path
 import yaml
 
 from . import ConfigurationError
+from .checkpoint import atomic_write
 from .ddpg.agent import AgentConfig
 from .ddpg.train import TrainSettings
 from .envs.grid import GridParams
@@ -250,10 +251,12 @@ class RunConfig:
     # -- io ---------------------------------------------------------------
 
     def echo(self, path: str | Path) -> None:
-        """Write the effective configuration (raw keys plus derived values)."""
+        """Write the effective configuration (raw keys plus derived values)
+        through ``atomic_write``."""
         payload = dict(sorted(self.values.items()))
         payload["_derived"] = dict(sorted(self.derived.items()))
-        Path(path).write_text(yaml.safe_dump(payload, sort_keys=False))
+        with atomic_write(path, text=True) as fh:
+            yaml.safe_dump(payload, fh, sort_keys=False)
 
     def to_json(self) -> str:
         return json.dumps({"values": self.values, "derived": self.derived}, default=str)

@@ -163,7 +163,5 @@ class Trainer:
         self.noise.load_state_dict(state["noise"])
         self.rng_expl.bit_generator.state = state["rng_expl"]
         self.rng_replay.bit_generator.state = state["rng_replay"]
-        if state.get("env") is not None:
-            self.env.load_state_dict(state["env"])
-        if state.get("inner_env") is not None:
-            self.env.env.load_state_dict(state["inner_env"])
+        self.env.load_state_dict(state["env"])
+        self.env.env.load_state_dict(state["inner_env"])

@@ -13,14 +13,13 @@ is a field of one entry in ``PLANTS``.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import json
 import logging
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +28,7 @@ import numpy as np
 from .. import ConfigurationError
 from ..baselines.grid_cascade import CascadeGains, GridCascadePolicy, tune_grid_cascade
 from ..baselines.pi import MotorPiPolicy
-from ..checkpoint import atomic_write, save_agent, save_trainer
+from ..checkpoint import atomic_write, save_agent, save_trainer, write_csv
 from ..config import RL_VARIANTS, RunConfig
 from ..ddpg.train import Trainer, TrainResult
 from ..envs.grid import GridEnv
@@ -184,19 +183,6 @@ def rollout(env, policy, case: TestCase, seed: int) -> Trajectory:
     )
 
 
-@dataclass
-class ExperimentPlan:
-    """Materialized experiment: variants x seeds on frozen test cases."""
-
-    env_kind: str
-    variants: list[str]
-    seeds: list[int]
-    out_dir: Path
-    cases: list[TestCase] = field(default_factory=list)
-    workers: int = 1
-    save_trajectories: bool = False
-
-
 def make_testcase(cfg: RunConfig, kind: str, seed: int, steps: int | None = None) -> TestCase:
     """The frozen test case of `kind` and `seed` under `cfg`; `steps`
     (>= 1) overrides the configured length of a transient profile.  A
@@ -220,21 +206,6 @@ def make_testcase(cfg: RunConfig, kind: str, seed: int, steps: int | None = None
         return gen_motor_profile(seed, steps or cfg["experiment.motor_profile_steps"],
                                  seg_len, radius)
     raise ConfigurationError(f"unknown test case kind {kind!r}")
-
-
-def make_plan(cfg: RunConfig, out_dir: str | Path) -> ExperimentPlan:
-    env_kind = cfg["env.kind"]
-    case_seed = cfg["experiment.testcase_seed"]
-    return ExperimentPlan(
-        env_kind=env_kind,
-        variants=list(cfg["experiment.variants"]),
-        seeds=list(cfg["experiment.seeds"]),
-        out_dir=Path(out_dir),
-        cases=[make_testcase(cfg, kind, case_seed + k)
-               for k, kind in enumerate(_plant(env_kind).cases)],
-        workers=cfg["experiment.workers"],
-        save_trajectories=cfg["experiment.save_trajectories"],
-    )
 
 
 def build_training_env(cfg: RunConfig, variant: str, seed: int):
@@ -303,7 +274,8 @@ def train_agent(trainer: Trainer, cfg: RunConfig, variant: str, out_dir: Path,
             if checkpoint_every and step % checkpoint_every == 0:
                 write_checkpoint(trainer, cfg, out_dir)
     finally:
-        (out_dir / "events.json").write_text(json.dumps(trainer.events, indent=1))
+        with atomic_write(out_dir / "events.json", text=True) as fh:
+            fh.write(json.dumps(trainer.events, indent=1))
     save_agent(out_dir / "agent.npz", result.agent, extra={
         "variant": variant, "seed": trainer.seed, "env_kind": cfg["env.kind"],
         "sec": {"t_i": cfg["sec.t_i"], "t_aw": cfg["sec.t_aw"]},
@@ -313,11 +285,8 @@ def train_agent(trainer: Trainer, cfg: RunConfig, variant: str, out_dir: Path,
 
 
 def write_learning_curve(path: Path, curve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "steps", "mean_reward"])
-        for rec in curve:
-            writer.writerow([rec.episode, rec.steps, rec.mean_reward])
+    write_csv(path, ["episode", "steps", "mean_reward"],
+              ([rec.episode, rec.steps, rec.mean_reward] for rec in curve))
 
 
 def evaluate_policy(cfg: RunConfig, policy, cases: list[TestCase], run_seed: int,
@@ -368,35 +337,38 @@ def _run_one(cfg: RunConfig, variant: str, seed: int, run_dir: Path, cases: list
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | Path) -> dict:
-    """Full comparison: train/evaluate every (variant, seed), aggregate."""
-    plan = make_plan(cfg, out_dir)
-    plan.out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.echo(plan.out_dir / "effective_config.yaml")
-    for case in plan.cases:
-        case.save(plan.out_dir / f"testcase-{case.case_id}.npz")
+    """Full comparison: train/evaluate every (variant, seed) on the
+    plant's two frozen test cases, aggregate."""
+    out_dir = Path(out_dir)
+    case_seed = cfg["experiment.testcase_seed"]
+    cases = [make_testcase(cfg, kind, case_seed + k)
+             for k, kind in enumerate(_plant(cfg["env.kind"]).cases)]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.echo(out_dir / "effective_config.yaml")
+    for case in cases:
+        case.save(out_dir / f"testcase-{case.case_id}.npz")
 
     pi_gains = None
-    if "pi" in plan.variants and plan.env_kind == "grid":
+    if "pi" in cfg["experiment.variants"] and cfg["env.kind"] == "grid":
         pi_gains, tune_report = tune_grid_cascade(
             cfg.grid_params(), seed=cfg["experiment.pi_tune_seed"],
             steps=cfg["experiment.pi_tune_steps"],
         )
-        with atomic_write(plan.out_dir / "pi_tuning.json", text=True) as fh:
+        with atomic_write(out_dir / "pi_tuning.json", text=True) as fh:
             fh.write(json.dumps({"best": pi_gains.as_dict(), "best_score": tune_report["best_score"],
                                  "trials": len(tune_report["trials"])}, indent=1))
 
     # Seed-major order: interrupting a long batch still leaves balanced
     # variant coverage for every completed seed.
-    jobs = [(cfg, variant, seed, plan.out_dir / f"{variant}-seed{seed}", plan.cases, pi_gains,
-             plan.save_trajectories)
-            for seed in plan.seeds for variant in plan.variants]
+    jobs = [(cfg, variant, seed, out_dir / f"{variant}-seed{seed}", cases, pi_gains,
+             cfg["experiment.save_trajectories"])
+            for seed in cfg["experiment.seeds"] for variant in cfg["experiment.variants"]]
     records = []
-    for record in _finished_runs(jobs, plan.workers):
+    for record in _finished_runs(jobs, cfg["experiment.workers"]):
         records.append(record)
-        _write_reports(plan, records)  # refresh after every run
+        _write_reports(cfg, out_dir, records)  # refresh after every run
     records.sort(key=lambda r: (r["variant"], r["seed"]))
-    summary = _write_reports(plan, records)
-    return summary
+    return _write_reports(cfg, out_dir, records)
 
 
 def _finished_runs(jobs: list[tuple], workers: int):
@@ -429,29 +401,25 @@ def keep_freed_memory() -> None:
 
 
 def write_report(path: Path, records: list[dict]) -> None:
-    """``report.csv``: the metric rows of each (variant, seed) record,
-    written through ``atomic_write``."""
-    with atomic_write(path, text=True) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "seed", "test_case_id", "metric_name", "value"])
-        for rec in sorted(records, key=lambda r: (r["variant"], r["seed"])):
-            for row in rec["rows"]:
-                writer.writerow([rec["variant"], rec["seed"],
-                                 row["test_case_id"], row["metric_name"], row["value"]])
+    """``report.csv``: the metric rows of each (variant, seed) record."""
+    write_csv(path, ["variant", "seed", "test_case_id", "metric_name", "value"],
+              ([rec["variant"], rec["seed"], row["test_case_id"], row["metric_name"], row["value"]]
+               for rec in sorted(records, key=lambda r: (r["variant"], r["seed"]))
+               for row in rec["rows"]))
 
 
-def _write_reports(plan: ExperimentPlan, records: list[dict]) -> dict:
-    write_report(plan.out_dir / "report.csv", records)
+def _write_reports(cfg: RunConfig, out_dir: Path, records: list[dict]) -> dict:
+    write_report(out_dir / "report.csv", records)
 
     # Aggregate box statistics per (variant, headline metric).
-    summary: dict = {"env_kind": plan.env_kind, "runs": [], "metrics": {}}
+    summary: dict = {"env_kind": cfg["env.kind"], "runs": [], "metrics": {}}
     for rec in records:
         summary["runs"].append({k: rec[k] for k in
                                 ("variant", "seed", "status", "error", "train_seconds")
                                 if k in rec})
     for metric in ("mean_reward", "steady_state_mean"):
         per_variant = {}
-        for variant in plan.variants:
+        for variant in cfg["experiment.variants"]:
             vals = [
                 row["value"]
                 for rec in records
@@ -471,6 +439,6 @@ def _write_reports(plan: ExperimentPlan, records: list[dict]) -> dict:
             summary["metrics"][metric]["best_improvement_fraction"] = (
                 (abs(best_ddpg) - abs(best_sec)) / abs(best_ddpg) if best_ddpg != 0 else 0.0
             )
-    with atomic_write(plan.out_dir / "summary.json", text=True) as fh:
+    with atomic_write(out_dir / "summary.json", text=True) as fh:
         fh.write(json.dumps(summary, indent=1))
     return summary

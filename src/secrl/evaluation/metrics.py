@@ -7,13 +7,13 @@ action penalties never enter reported numbers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .. import ConfigurationError
+from ..checkpoint import write_csv
 from ..envs.base import root_error_sum
 
 
@@ -43,30 +43,26 @@ class Trajectory:
         d = self.reference.shape[1]
         m = self.applied_action.shape[1]
         raw_w = self.raw_action.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = (
-                ["k"]
-                + [f"ref_{i}" for i in range(d)]
-                + [f"meas_{i}" for i in range(d)]
-                + [f"raw_{i}" for i in range(raw_w)]
-                + [f"applied_{i}" for i in range(m)]
-                + [f"integrator_{i}" for i in range(m)]
-                + ["reward", "terminal"]
-            )
-            writer.writerow(header)
-            rewards = per_step_rewards(self)
-            zeta = self.integrator if self.integrator is not None else np.zeros((len(self), m))
-            for k in range(len(self)):
-                writer.writerow(
-                    [k]
-                    + list(self.reference[k])
-                    + list(self.measured[k])
-                    + list(self.raw_action[k])
-                    + list(self.applied_action[k])
-                    + list(zeta[k])
-                    + [rewards[k], 0]  # rollout raises on a terminal step
-                )
+        header = (
+            ["k"]
+            + [f"ref_{i}" for i in range(d)]
+            + [f"meas_{i}" for i in range(d)]
+            + [f"raw_{i}" for i in range(raw_w)]
+            + [f"applied_{i}" for i in range(m)]
+            + [f"integrator_{i}" for i in range(m)]
+            + ["reward", "terminal"]
+        )
+        rewards = per_step_rewards(self)
+        zeta = self.integrator if self.integrator is not None else np.zeros((len(self), m))
+        write_csv(path, header, (
+            [k]
+            + list(self.reference[k])
+            + list(self.measured[k])
+            + list(self.raw_action[k])
+            + list(self.applied_action[k])
+            + list(zeta[k])
+            + [rewards[k], 0]  # rollout raises on a terminal step
+            for k in range(len(self))))
 
 
 def per_step_rewards(traj: Trajectory) -> np.ndarray:

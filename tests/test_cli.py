@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 import yaml
 
-from secrl import TrainingFault
-from secrl.checkpoint import load_agent, load_config_echo, load_trainer_into, save_trainer
+from secrl import TrainingFault, checkpoint
+from secrl.checkpoint import load_agent
 from secrl.cli import main
 from secrl.config import parse_config, parse_override_strings
-from secrl.evaluation.experiment import make_plan
+from secrl.evaluation.experiment import PLANTS, make_testcase
 from secrl.evaluation.testcases import TestCase
 
 FAST_TRAIN = [
@@ -212,6 +212,51 @@ def test_resume_refuses_changed_config(paused_run, tmp_path, capsys):
     assert err["error"] == "configuration"
     assert "agent.gamma: checkpoint 0.946, now 0.9" in err["message"]
     assert "out_dir" not in err["message"]
+    assert not (tmp_path / "tail").exists()
+
+
+def test_refused_resume_in_place_keeps_the_config_echo(tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ["--out", str(out), "--override", "env.kind=motor", *FAST_TRAIN]
+    assert main(["train", *base, "--until-step", "60"]) == 0
+    before = (out / "effective_config.yaml").read_bytes()
+    assert main(["train", *base, "--override", "agent.gamma=0.9",
+                 "--resume", str(out / "checkpoint.npz")]) == 2
+    assert (out / "effective_config.yaml").read_bytes() == before
+
+
+def test_resume_opens_the_snapshot_once(paused_run, tmp_path, monkeypatch):
+    root, base, _ = paused_run
+    snapshot = root / "head" / "checkpoint.npz"
+    opened, np_load = [], np.load
+
+    def counting_load(file, *args, **kwargs):
+        opened.append(file)
+        return np_load(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", counting_load)
+    assert main(["train", "--out", str(tmp_path / "tail"), *base, "--resume", str(snapshot)]) == 0
+    assert opened == [snapshot]
+
+
+def test_resume_refuses_other_network_sizes_by_config_before_reading(
+        paused_run, tmp_path, capsys, monkeypatch):
+    # The config difference is named, not the network layout it implies,
+    # and no member is read.
+    root, base, _ = paused_run
+
+    def no_member_read(*args):
+        raise AssertionError("a checkpoint member was read")
+
+    monkeypatch.setattr(checkpoint, "_read_into", no_member_read)
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "tail"), *base,
+               "--override", "agent.critic.units=14",
+               "--resume", str(root / "head" / "checkpoint.npz")])
+    assert rc == 2
+    message = _error_record(capsys)["message"]
+    assert message == (f"checkpoint {root / 'head' / 'checkpoint.npz'} was written with a "
+                       "different config: agent.critic.units: checkpoint 12, now 14")
 
 
 def test_truncated_checkpoints_exit_with_configuration_error(paused_run, tmp_path, capsys):
@@ -327,9 +372,11 @@ def test_gen_testcase_equals_compare_cases(tmp_path, capsys, plant):
     pairs = [f"env.kind={plant}", "experiment.testcase_seed=31", "experiment.segments=3",
              "experiment.grid_transient_steps=1200", "experiment.motor_profile_steps=1500"]
     overrides = [arg for pair in pairs for arg in ("--override", pair)]
-    plan = make_plan(parse_config(None, parse_override_strings(pairs)), tmp_path)
-    assert len(plan.cases) == 2
-    for k, case in enumerate(plan.cases):
+    cfg = parse_config(None, parse_override_strings(pairs))
+    # The cases `compare` makes for the plant.
+    cases = [make_testcase(cfg, kind, 31 + k) for k, kind in enumerate(PLANTS[plant].cases)]
+    assert len(cases) == 2
+    for k, case in enumerate(cases):
         capsys.readouterr()
         assert main(["gen-testcase", "--kind", case.kind, "--seed", str(31 + k),
                      "--out", str(tmp_path / "cases"), *overrides]) == 0
@@ -361,7 +408,12 @@ def test_stopped_train_keeps_event_log(tmp_path, capsys, monkeypatch, stop, rc):
         # Interrupted in the first update (batch 16, every 2nd step).
         assert events == []
         assert record == {"interrupted_at_step": 16, "resume_from": str(out / "checkpoint.npz")}
-        assert load_config_echo(out / "checkpoint.npz")["values"]["env.kind"] == "motor"
+        # The snapshot carries the motor config: it resumes under it, not under grid.
+        monkeypatch.undo()
+        resume = ["train", *FAST_TRAIN, "--resume", str(out / "checkpoint.npz")]
+        assert main([*resume, "--out", str(tmp_path / "grid")]) == 2
+        assert "env.kind: checkpoint 'motor', now 'grid'" in _error_record(capsys)["message"]
+        assert main([*resume, "--out", str(tmp_path / "motor"), "--override", "env.kind=motor"]) == 0
 
 
 def test_eval_echo_names_the_checkpoint_plant(tmp_path, capsys):
@@ -456,6 +508,47 @@ def test_corrupt_replay_ring_exits_with_configuration_error(
     err = _error_record(capsys)
     assert err["error"] == "configuration"
     assert message in err["message"]
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("no-noise", "checkpoint trainer_state: missing ['noise']"),
+    ("extra-key", "checkpoint trainer_state.env: unexpected ['zeta_old']"),
+    ("plant-state", "checkpoint trainer_state.inner_env.x: shape (3,), expected (2,)"),
+    ("obs-width", "checkpoint trainer_state.obs: shape (1,), expected (20,)"),
+    ("obs-list", "checkpoint trainer_state.obs: shape list, expected (20,)"),
+    ("rng-not-dict", "checkpoint trainer_state.rng_expl: int, expected a dict"),
+])
+def test_malformed_trainer_state_exits_with_configuration_error(
+        paused_run, tmp_path, capsys, monkeypatch, damage, message):
+    root, base, _ = paused_run
+    with np.load(root / "head" / "checkpoint.npz", allow_pickle=False) as data:
+        members = {k: data[k] for k in data.files}
+    meta = json.loads(str(members["meta"]))
+    state = meta["trainer_state"]
+    if damage == "no-noise":
+        del state["noise"]
+    elif damage == "extra-key":
+        state["env"]["zeta_old"] = 0.0
+    elif damage == "plant-state":
+        state["inner_env"]["x"]["__nd__"].append(0.0)
+    elif damage == "obs-width":
+        state["obs"]["__nd__"] = state["obs"]["__nd__"][:1]
+    elif damage == "obs-list":
+        state["obs"] = state["obs"]["__nd__"]
+    else:
+        state["rng_expl"] = 7
+    members["meta"] = json.dumps(meta)
+    np.savez(tmp_path / "checkpoint.npz", **members)
+
+    def no_member_read(*args):
+        raise AssertionError("a checkpoint member was read")
+
+    monkeypatch.setattr(checkpoint, "_read_into", no_member_read)
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "tail"), *base,
+               "--resume", str(tmp_path / "checkpoint.npz")])
+    assert rc == 2
+    assert _error_record(capsys) == {"error": "configuration", "message": message}
 
 
 def _snapshot_steps(caplog) -> list[int]:

@@ -1,9 +1,12 @@
 """Experiment orchestration: rollouts, zero-step runs, report cardinality."""
 
+import contextlib
 import importlib.util
 import json
 import logging
 import re
+import resource
+import signal
 import sys
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from secrl import TrainingFault
 from secrl.checkpoint import load_agent, load_trainer_into
 from secrl.config import parse_config
+from secrl.ddpg.train import EpisodeRecord
 from secrl.evaluation import experiment
 from secrl.evaluation.experiment import (
     AgentPolicy,
@@ -23,6 +27,7 @@ from secrl.evaluation.experiment import (
     run_experiment,
     write_report,
 )
+from secrl.evaluation.metrics import Trajectory
 from secrl.evaluation.testcases import gen_steadystate_testcase
 from secrl.nn.mlp import mlp_forward, mlp_init
 from secrl.sec import SecActionWrapper
@@ -175,9 +180,9 @@ class TestRunExperiment:
         sizes = []
         write_reports = experiment._write_reports
 
-        def counting(plan, records):
+        def counting(cfg, out_dir, records):
             sizes.append(len(records))
-            return write_reports(plan, records)
+            return write_reports(cfg, out_dir, records)
 
         monkeypatch.setattr(experiment, "_write_reports", counting)
         summary = run_experiment(cfg, tmp_path)
@@ -324,3 +329,51 @@ def test_failed_testcase_save_keeps_the_previous_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["case.npz"]
+
+
+@contextlib.contextmanager
+def _disk_full_after(nbytes):
+    """Writes that reach past `nbytes` of any file fail (EFBIG), as on a
+    disk that fills up: a file written in place is left truncated."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+def _write_events(path, n):
+    cfg = motor_cfg()
+    trainer = experiment.build_trainer(cfg, "ddpg", 1)
+    trainer.events = [{"step": k, "kind": "limit_violation", "episode": 0} for k in range(n)]
+    experiment.train_agent(trainer, cfg, "ddpg", path.parent)
+
+
+def _write_trajectory(path, n):
+    ref = np.ones((n, 2))
+    Trajectory("motor", 1.0, ref, 0.5 * ref, np.zeros((n, 4)), np.zeros((n, 2))).to_csv(path)
+
+
+# Each run file's writer, given the path and a number of records.
+_RUN_FILE_WRITERS = {
+    "effective_config.yaml": lambda path, n: motor_cfg(seed=n).echo(path),
+    "events.json": _write_events,
+    "learning_curve.csv": lambda path, n: experiment.write_learning_curve(
+        path, [EpisodeRecord(k, 60, -0.5) for k in range(n)]),
+    "trajectory-motor-steadystate-seed1.csv": _write_trajectory,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RUN_FILE_WRITERS))
+def test_failed_run_file_write_keeps_the_previous_file(tmp_path, name):
+    path = tmp_path / name
+    write = _RUN_FILE_WRITERS[name]
+    write(path, 1)
+    before = path.read_bytes()
+    with _disk_full_after(256), pytest.raises(OSError):
+        write(path, 100)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
