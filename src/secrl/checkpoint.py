@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ConfigurationError
 from .ddpg.agent import AgentConfig, DdpgAgent
-from .nn.mlp import MlpParams
+from .nn.mlp import layer_views
 
 FORMAT_VERSION = 1
 _READ_CHUNK = 1 << 18  # bytes
@@ -180,98 +180,82 @@ def _reading(path: str | Path, kind: str):
         raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-# -- networks --------------------------------------------------------------
-
-def _pack_network(prefix: str, params: MlpParams, arrays: dict) -> dict:
-    for j, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"{prefix}w{j}"] = w
-        arrays[f"{prefix}b{j}"] = b
-    return {
-        "layer_sizes": params.layer_sizes,
-        "beta": params.beta,
-        "output_activation": params.output_activation,
-    }
-
-
-def _unpack_network(prefix: str, meta: dict, data, params: MlpParams) -> None:
-    """Read the stored network into ``params``; a stored layout, hidden
-    slope or output activation other than ``params``' raises
-    ConfigurationError."""
-    stored = (meta["layer_sizes"], meta["beta"], meta["output_activation"])
-    if stored != (params.layer_sizes, params.beta, params.output_activation):
-        raise ConfigurationError(
-            f"checkpoint network {prefix[:-1]}: layers {stored[0]}, beta {stored[1]}, "
-            f"{stored[2]} output; expected layers {params.layer_sizes}, beta {params.beta}, "
-            f"{params.output_activation} output")
-    for j, (w, b) in enumerate(zip(params.weights, params.biases)):
-        _read_into(data, f"{prefix}w{j}", w)
-        _read_into(data, f"{prefix}b{j}", b)
-    params.validate()
-
-
-# -- optimizer states ------------------------------------------------------
-
-def _moment_members(prefix: str, state):
-    """``(member name, per-layer moment view)`` of ``state``, in file order:
-    per layer, each moment's weights then biases, coded by the moment's
-    first letter (``aopt_mw0``, ``aopt_mb0``, ``aopt_vw0``, ...)."""
-    lists = [(name[0] + part, getattr(state, f"{name}_{part}"))
-             for name in state.MOMENTS for part in "wb"]
-    for j in range(len(state.layer_sizes) - 1):
-        for code, views in lists:
-            yield f"{prefix}_{code}{j}", views[j]
-
-
-def _pack_optimizer(prefix: str, state, arrays: dict) -> dict:
-    arrays.update(_moment_members(prefix, state))
-    return {"kind": state.KIND, **{k: getattr(state, k) for k in state.SCALARS},
-            "layers": len(state.layer_sizes) - 1}
-
-
-def _unpack_optimizer(prefix: str, meta: dict, data, state) -> None:
-    """Read the stored optimizer state into ``state``'s moments; a stored
-    optimizer of another kind raises ConfigurationError."""
-    if meta["kind"] != state.KIND:
-        raise ConfigurationError(
-            f"checkpoint optimizer {prefix}: {meta['kind']}, expected {type(state).__name__}")
-    for k in state.SCALARS:
-        setattr(state, k, meta[k])
-    for key, view in _moment_members(prefix, state):
-        _read_into(data, key, view)
-
-
 # -- full agents -----------------------------------------------------------
 
 # meta key and member prefix of each network and optimizer state, in file order
 _NETWORKS = (("actor", "actor_"), ("critic", "critic_"),
              ("actor_target", "actor_t_"), ("critic_target", "critic_t_"))
 _OPTIMIZER_STATES = (("actor_opt", "aopt"), ("critic_opt", "copt"))
+# the facts of a network that a reader must share with the writer
+_NETWORK_FIELDS = ("layer_sizes", "beta", "output_activation")
 
 
-def _pack_agent(agent: DdpgAgent, arrays: dict) -> dict:
+def _agent_meta(agent: DdpgAgent) -> dict:
+    """The meta entries of ``agent``: its config, the facts of each network,
+    and each optimizer's kind, scalars and layer count."""
     meta = {"agent_config": vars(agent.config)}
-    for name, prefix in _NETWORKS:
-        meta[name] = _pack_network(prefix, getattr(agent, name), arrays)
-    for name, prefix in _OPTIMIZER_STATES:
-        meta[name] = _pack_optimizer(prefix, getattr(agent, name), arrays)
+    for name, _ in _NETWORKS:
+        meta[name] = {k: getattr(getattr(agent, name), k) for k in _NETWORK_FIELDS}
+    for name, _ in _OPTIMIZER_STATES:
+        state = getattr(agent, name)
+        meta[name] = {"kind": state.KIND, **{k: getattr(state, k) for k in state.SCALARS},
+                      "layers": len(state.layer_sizes) - 1}
     return meta
 
 
-def _unpack_agent(meta: dict, data, agent: DdpgAgent) -> None:
-    """Read the stored networks and optimizer states into ``agent``'s own;
-    a stored layout or optimizer kind other than the agent's raises
-    ConfigurationError."""
+def _agent_members(agent: DdpgAgent):
+    """``(member name, view)`` of every array of ``agent``, in file order:
+    each network's weights and biases per layer (``actor_w0``,
+    ``actor_b0``, ...), then each optimizer's moments, per layer each
+    moment's weights then biases, coded by the moment's first letter
+    (``aopt_mw0``, ``aopt_mb0``, ``aopt_vw0``, ...)."""
     for name, prefix in _NETWORKS:
-        _unpack_network(prefix, meta[name], data, getattr(agent, name))
+        params = getattr(agent, name)
+        for j, (w, b) in enumerate(zip(params.weights, params.biases)):
+            yield f"{prefix}w{j}", w
+            yield f"{prefix}b{j}", b
     for name, prefix in _OPTIMIZER_STATES:
-        _unpack_optimizer(prefix, meta[name], data, getattr(agent, name))
+        state = getattr(agent, name)
+        views = [(moment[0], layer_views(getattr(state, moment), state.layer_sizes))
+                 for moment in state.MOMENTS]
+        for j in range(len(state.layer_sizes) - 1):
+            for code, (w, b) in views:
+                yield f"{prefix}_{code}w{j}", w[j]
+                yield f"{prefix}_{code}b{j}", b[j]
+
+
+def _describe(network: dict) -> str:
+    return (f"layers {network['layer_sizes']}, beta {network['beta']}, "
+            f"{network['output_activation']} output")
+
+
+def _unpack_agent(meta: dict, data, agent: DdpgAgent) -> None:
+    """Read the stored networks and optimizer states into ``agent``'s own.
+    A stored network layout, hidden slope or output activation, or an
+    optimizer kind, other than the agent's raises ConfigurationError before
+    any member is read, so a refused load leaves ``agent`` as it was."""
+    live = _agent_meta(agent)
+    for name, prefix in _NETWORKS:
+        stored = {k: meta[name][k] for k in _NETWORK_FIELDS}
+        if stored != live[name]:
+            raise ConfigurationError(f"checkpoint network {prefix[:-1]}: {_describe(stored)}; "
+                                     f"expected {_describe(live[name])}")
+    for name, prefix in _OPTIMIZER_STATES:
+        if meta[name]["kind"] != live[name]["kind"]:
+            raise ConfigurationError(f"checkpoint optimizer {prefix}: {meta[name]['kind']}, "
+                                     f"expected {type(getattr(agent, name)).__name__}")
+    for key, view in _agent_members(agent):
+        _read_into(data, key, view)
+    for name, _ in _NETWORKS:
+        getattr(agent, name).validate()
+    for name, _ in _OPTIMIZER_STATES:
+        state = getattr(agent, name)
+        for k in state.SCALARS:
+            setattr(state, k, meta[name][k])
 
 
 def save_agent(path: str | Path, agent: DdpgAgent, extra: dict | None = None) -> None:
-    arrays: dict = {}
-    meta = _pack_agent(agent, arrays)
-    meta["extra"] = extra or {}
-    _write_npz(path, meta, arrays)
+    _write_npz(path, {**_agent_meta(agent), "extra": extra or {}}, dict(_agent_members(agent)))
 
 
 def load_agent(path: str | Path) -> tuple[DdpgAgent, dict]:
@@ -291,7 +275,8 @@ def save_trainer(path: str | Path, trainer, config_echo: dict | None = None) -> 
     state = trainer.state_dict()
     buffer = state.pop("buffer")
     arrays = {f"buf_{k}": v for k, v in buffer.items() if isinstance(v, np.ndarray)}
-    meta = _pack_agent(trainer.agent, arrays)
+    arrays.update(_agent_members(trainer.agent))
+    meta = _agent_meta(trainer.agent)
     meta["trainer_state"] = state
     meta["buffer_scalars"] = {"cursor": buffer["cursor"], "count": buffer["count"]}
     meta["config_echo"] = config_echo or {}

@@ -17,6 +17,7 @@ from . import ConfigurationError, EnvironmentFault, TrainingFault
 from .checkpoint import load_agent, load_trainer_into
 from .config import RL_VARIANTS, RunConfig, parse_config, parse_override_strings
 from .evaluation.experiment import (
+    PLANTS,
     AgentPolicy,
     build_eval_env,
     build_trainer,
@@ -90,25 +91,29 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, seed, out_dir = _load_config(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     agent, extra = load_agent(args.checkpoint)
     env_kind = extra.get("env_kind", cfg["env.kind"])
     if env_kind != cfg["env.kind"]:
         log.warning("checkpoint env %s overrides config env %s", env_kind, cfg["env.kind"])
         cfg.values["env.kind"] = env_kind
-    # Echoed after the override, so the file names the plant that was scored.
-    cfg.echo(out_dir / "effective_config.yaml")
+    cases = [TestCase.load(p) for p in args.testcase]
     env = build_eval_env(cfg, env_kind)
     if agent.actor.layer_sizes[0] != env.obs_dim:
         raise ConfigurationError(
             f"checkpoint actor expects {agent.actor.layer_sizes[0]} features, "
             f"environment provides {env.obs_dim}"
         )
+    for case in cases:
+        if case.kind not in PLANTS[env_kind].cases:
+            raise ConfigurationError(f"test case {case.case_id} is not a {env_kind} case")
     sec_info = extra.get("sec", {})
     policy = AgentPolicy(agent.actor, m=env.action_dim,
                          t_i=sec_info.get("t_i", cfg["sec.t_i"]),
                          t_aw=sec_info.get("t_aw", cfg["sec.t_aw"]))
-    cases = [TestCase.load(p) for p in args.testcase]
+    # Echoed after the plant override, so it names the plant that is scored,
+    # and after every check, so a refused eval leaves --out untouched.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.echo(out_dir / "effective_config.yaml")
     rows = evaluate_policy(cfg, policy, cases, run_seed=seed, trajectory_dir=out_dir)
     write_report(out_dir / "report.csv",
                  [{"variant": extra.get("variant", "agent"), "seed": seed, "rows": rows}])

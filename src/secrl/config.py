@@ -315,9 +315,14 @@ def parse_config(
                 raise ConfigurationError(f"unknown config key {key!r} {source}")
             values[key] = _coerce(key, val, SCHEMA[key].default)
     _validate_ranges(values)
-    # Not liftable by allow_out_of_range: scoring would fail after training.
+    # Not liftable by allow_out_of_range: scoring would fail after training,
+    # and each (variant, seed) run owns one run directory and its report rows.
     if values["env.kind"] in STEADY_STATE_SKIP:
         require_steady_state_window(values["env.kind"], values["experiment.segment_length"])
+    for key in ("experiment.variants", "experiment.seeds"):
+        if not values[key] or len(set(values[key])) < len(values[key]):
+            raise ConfigurationError(f"{key} must be a non-empty list without repeats, "
+                                     f"got {values[key]}")
     return RunConfig(values)
 
 

@@ -3,8 +3,8 @@
 All optimizers minimize: they step along the negative gradient.  Callers
 that maximize pass the negated gradient.  Each moment is one flat vector in
 the parameter layout and of the parameters' dtype, so every step is a
-handful of whole-vector operations; the per-layer ``*_w``/``*_b`` lists are
-views for inspection and checkpoints.
+handful of whole-vector operations; ``mlp.layer_views`` cuts it into
+per-layer weights and biases.
 
 Each state class declares its ``KIND`` (the ``agent.optimizer`` name), its
 ``MOMENTS`` (flat vector fields) and its ``SCALARS`` (the fields a
@@ -19,25 +19,18 @@ from typing import ClassVar
 import numpy as np
 
 from .. import ConfigurationError, TrainingFault
-from .mlp import MlpParams, ParamGrads, layer_views
+from .mlp import MlpParams, ParamGrads
 
 
 @dataclass
 class _MomentState:
-    """Moment vectors in the layout of ``layer_sizes``, with per-layer
-    ``<moment>_w``/``<moment>_b`` views."""
+    """Moment vectors in the layout of ``layer_sizes``."""
 
     layer_sizes: list[int]
 
     KIND: ClassVar[str]
     MOMENTS: ClassVar[tuple[str, ...]]
     SCALARS: ClassVar[tuple[str, ...]]
-
-    def __post_init__(self):
-        for name in self.MOMENTS:
-            w, b = layer_views(getattr(self, name), self.layer_sizes)
-            setattr(self, f"{name}_w", w)
-            setattr(self, f"{name}_b", b)
 
     @classmethod
     def for_params(cls, params: MlpParams, **scalars):

@@ -1,11 +1,13 @@
 """The benchmark tracer (perfbench/tracing.py) against the package.
 
-The tracer wraps package functions and methods by attribute name, so a
-rename in the package would break ``perfbench/run.py --trace 1`` without
-any package test failing.  These tests build the tracer over the modules
-the benchmark loads, check that every attribute it wraps exists and is
-restored on uninstall, and that traced evaluation rollouts record the
-spans the per-layer metrics read, with untraced outputs unchanged.
+The tracer wraps package functions and methods by attribute name, and
+``perfbench/run.py`` calls package names through its module table, so a
+rename in the package would break every benchmark run without any package
+test failing.  These tests check that every module attribute run.py reads
+exists, build the tracer over the modules the benchmark loads, check that
+every attribute it wraps exists and is restored on uninstall, and that
+traced evaluation rollouts record the spans the per-layer metrics read,
+with untraced outputs unchanged.
 """
 
 from __future__ import annotations
@@ -32,6 +34,58 @@ def _bench_modules() -> dict:
                  if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "SECRL_MODULES" for t in node.targets))
     return {name: importlib.import_module(f"secrl.{name}") for name in names}
+
+
+def _module_key(node, aliases: dict):
+    """The SECRL_MODULES name ``node`` stands for: ``m[...]`` or
+    ``self.m[...]``, or a name assigned from one; else None."""
+    if isinstance(node, ast.Subscript):
+        table = node.value
+        if (isinstance(table, ast.Name) and table.id == "m") or (
+                isinstance(table, ast.Attribute) and table.attr == "m"
+                and isinstance(table.value, ast.Name) and table.value.id == "self"):
+            return ast.literal_eval(node.slice)
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    return None
+
+
+def _module_attributes_read() -> set:
+    """(module name, attribute) of every attribute run.py reads from its
+    module table, per function, through the names assigned from it."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    for name, value in pairs:
+                        key = _module_key(value, {})
+                        if isinstance(name, ast.Name) and key is not None:
+                            aliases[name.id] = key
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute):
+                key = _module_key(node.value, aliases)
+                if key is not None:
+                    found.add((key, node.attr))
+    return found
+
+
+def test_every_module_attribute_the_benchmark_reads_exists():
+    read = _module_attributes_read()
+    # The walker sees the calls that set-up, training and resume make.
+    assert {("sec", "actor_output_width"), ("checkpoint", "save_trainer"),
+            ("checkpoint", "load_trainer_into"), ("ddpg.train", "Trainer")} <= read
+    modules = _bench_modules()
+    missing = sorted(f"secrl.{key}.{attr}" for key, attr in read
+                     if key not in modules or not hasattr(modules[key], attr))
+    assert not missing, f"perfbench/run.py reads names the package lacks: {missing}"
 
 
 def _tracer_module():

@@ -11,11 +11,11 @@ import pytest
 from test_cli import FAST_TRAIN
 from test_train import make_sec_grid_trainer
 
-from secrl import ConfigurationError
+from secrl import ConfigurationError, checkpoint
 from secrl.checkpoint import load_agent, load_trainer_into, save_agent, save_trainer
 from secrl.cli import main
 from secrl.ddpg.agent import AgentConfig, DdpgAgent, actor_update, critic_update
-from secrl.nn.mlp import mlp_forward
+from secrl.nn.mlp import layer_views, mlp_forward
 from secrl.seeding import derive_rng
 
 
@@ -63,7 +63,8 @@ def test_agent_roundtrip_preserves_optimizer_state(tmp_path):
     assert np.array_equal(loaded.critic.flat(), agent.critic.flat())
     assert np.array_equal(loaded.critic_target.flat(), agent.critic_target.flat())
     assert loaded.critic_opt.step == agent.critic_opt.step
-    for a, b in zip(loaded.critic_opt.m_w, agent.critic_opt.m_w):
+    for a, b in zip(layer_views(loaded.critic_opt.m, loaded.critic_opt.layer_sizes)[0],
+                    layer_views(agent.critic_opt.m, agent.critic_opt.layer_sizes)[0]):
         assert np.array_equal(a, b)
     # One further update on each copy stays in lockstep.
     critic_update(agent, batch, lr=1e-3)
@@ -302,18 +303,43 @@ def test_corrupt_agent_members_are_configuration_errors(tmp_path, damage, messag
         load_agent(path)
 
 
+def _spy_reads(monkeypatch) -> list:
+    """Names of the members ``checkpoint._read_into`` reads from now on."""
+    read = []
+    read_into = checkpoint._read_into
+
+    def spy(data, key, out):
+        read.append(key)
+        return read_into(data, key, out)
+
+    monkeypatch.setattr(checkpoint, "_read_into", spy)
+    return read
+
+
+def _learner_vectors(agent) -> list:
+    """Copies of every network and optimizer-moment vector of ``agent``."""
+    nets = [agent.actor, agent.critic, agent.actor_target, agent.critic_target]
+    return ([p.data.copy() for p in nets]
+            + [getattr(opt, m).copy() for opt in (agent.actor_opt, agent.critic_opt)
+               for m in opt.MOMENTS])
+
+
 @pytest.mark.parametrize("change, message", [
     ({"critic_hidden": [9]}, r"network critic: layers \[5, 8, 1\], .* expected layers \[5, 9, 1\]"),
     ({"optimizer": "sgd"}, "optimizer aopt: adam, expected SgdState"),
 ])
-def test_load_agent_refuses_networks_that_disagree_with_its_config(tmp_path, change, message):
+def test_load_agent_refuses_networks_that_disagree_with_its_config(
+        tmp_path, monkeypatch, change, message):
     cfg = AgentConfig(obs_dim=3, action_dim=2, actor_hidden=[6], critic_hidden=[8],
                       batch_size=4, buffer_capacity=16)
     agent = DdpgAgent(cfg, derive_rng(4, 0))
     agent.config = AgentConfig(**{**vars(cfg), **change})
     save_agent(tmp_path / "agent.npz", agent)
+    read = _spy_reads(monkeypatch)
     with pytest.raises(ConfigurationError, match=message):
         load_agent(tmp_path / "agent.npz")
+    # Every check runs before the first member is read.
+    assert read == []
 
 
 @pytest.mark.parametrize("change, message", [
@@ -321,15 +347,22 @@ def test_load_agent_refuses_networks_that_disagree_with_its_config(tmp_path, cha
     ({"beta_actor": 0.5}, r"network actor: .*beta 0.208, .* expected .*beta 0.5"),
     ({"optimizer": "sgd"}, "optimizer aopt: adam, expected SgdState"),
 ])
-def test_resume_refuses_a_snapshot_of_another_network_layout(tmp_path, change, message):
+def test_resume_refuses_a_snapshot_of_another_network_layout(
+        tmp_path, monkeypatch, change, message):
     path = tmp_path / "ck.npz"
     trainer = make_sec_grid_trainer(seed=12, steps=60, episode_steps=30, beta_actor=0.208)
     trainer.run()
     save_trainer(path, trainer)
     other = make_sec_grid_trainer(seed=12, steps=60, episode_steps=30,
                                   **{"beta_actor": 0.208, **change})
+    before = _learner_vectors(other.agent)
+    read = _spy_reads(monkeypatch)
     with pytest.raises(ConfigurationError, match=message):
         load_trainer_into(path, other)
+    # A refused resume reads no member, so the trainer is left as it was.
+    assert read == []
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(before, _learner_vectors(other.agent), strict=True))
 
 
 def test_resume_reads_into_the_trainers_own_vectors(tmp_path):

@@ -435,6 +435,29 @@ def test_eval_echo_names_the_checkpoint_plant(tmp_path, capsys):
     assert (evalout / "report.csv").exists()
 
 
+def test_refused_eval_leaves_out_untouched(paused_run, tmp_path, capsys):
+    root, _, case_path = paused_run
+    agent = str(root / "head" / "agent.npz")
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    assert main(["eval", "--checkpoint", agent, "--testcase", str(case_path),
+                 "--out", str(used)]) == 0
+    before = (used / "effective_config.yaml").read_bytes()
+    assert main(["gen-testcase", "--kind", "grid-steadystate", "--seed", "8",
+                 "--override", "experiment.segments=2", "--out", str(tmp_path / "cases")]) == 0
+    grid_case = capsys.readouterr().out.strip()
+    # Under another seed, an echo written by a refused eval would differ.
+    for refusal in (["--testcase", str(tmp_path / "nonexistent.npz")],
+                    ["--testcase", str(case_path), "--override", "env.past_measurements=7"],
+                    ["--testcase", str(case_path), "--testcase", grid_case]):
+        for out in (fresh, used):
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", agent, *refusal, "--seed", "9",
+                         "--out", str(out)]) == 2
+            assert _error_record(capsys)["error"] == "configuration"
+    assert not fresh.exists()
+    assert (used / "effective_config.yaml").read_bytes() == before
+
+
 @pytest.mark.parametrize("kind, steps", [("grid-steadystate", "5000"),
                                          ("motor-steadystate", "100"),
                                          ("grid-load-profile", "0"),
@@ -460,6 +483,22 @@ def test_compare_refuses_segments_without_a_steady_state_window(tmp_path, capsys
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "configuration"
     assert "experiment.segment_length=150" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("experiment.seeds", "[]"), ("experiment.seeds", "1,1"),
+                                        ("experiment.variants", "[]"),
+                                        ("experiment.variants", "pi,pi")])
+def test_compare_refuses_empty_or_repeated_seeds_and_variants(tmp_path, capsys, key, value):
+    # Each (variant, seed) owns a run directory and its report rows; like the
+    # window rule, allow_out_of_range does not lift this one.
+    out = tmp_path / "cmp"
+    assert main(["compare", "--out", str(out), "--override", "env.kind=motor",
+                 "--override", "experiment.variants=pi", "--override", "experiment.seeds=1",
+                 "--override", f"{key}={value}", "--override", "allow_out_of_range=true"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "configuration"
+    assert f"{key} must be a non-empty list without repeats" in record["message"]
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from secrl.nn.mlp import (
     TANH,
     ParamGrads,
     input_cotangent,
+    layer_views,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -72,13 +73,14 @@ def test_optimizer_step_byte_equal_to_per_layer_reference(kind):
     params = _net(1)
     if kind == "adam":
         state = AdamState.for_params(params)
-        moments = [state.m_w, state.m_b, state.v_w, state.v_b]
+        moments = [*layer_views(state.m, state.layer_sizes),
+                   *layer_views(state.v, state.layer_sizes)]
     elif kind == "sgd-momentum":
         state = SgdState.for_params(params, momentum=0.9)
-        moments = [state.vel_w, state.vel_b]
+        moments = [*layer_views(state.vel, state.layer_sizes)]
     else:
         state = RmsPropState.for_params(params)
-        moments = [state.sq_w, state.sq_b]
+        moments = [*layer_views(state.sq, state.layer_sizes)]
     ref_p = _per_layer(params.weights, params.biases)
     ref_m = [_per_layer(w, b) for w, b in zip(moments[::2], moments[1::2])]
     rng = derive_rng(2, 0)
@@ -154,11 +156,12 @@ def test_views_alias_the_flat_vector_and_copies_are_independent():
     optimizer_step(state, params, grads, lr=1e-2)
     spans, total = _offsets(SIZES)
     flat = params.flat()
+    m_weights, _ = layer_views(state.m, state.layer_sizes)
     assert flat.shape == (total,)
     for j, ((w0, w1), (b0, b1)) in enumerate(spans):
         assert np.array_equal(flat[w0:w1], params.weights[j].ravel())
         assert np.array_equal(flat[b0:b1], params.biases[j])
-        assert np.array_equal(state.m.ravel()[w0:w1], state.m_w[j].ravel())
+        assert np.array_equal(state.m.ravel()[w0:w1], m_weights[j].ravel())
 
     twin = params.copy()
     twin.weights[0][0, 0] += 1.0
