@@ -29,7 +29,8 @@ from .evaluation.experiment import (
     write_checkpoint,
     write_report,
 )
-from .evaluation.testcases import KINDS, TestCase
+from .evaluation.metrics import require_steady_state_window
+from .evaluation.testcases import GRID_STEADYSTATE, KINDS, MOTOR_STEADYSTATE, TestCase
 
 log = logging.getLogger("secrl")
 
@@ -106,6 +107,8 @@ def cmd_eval(args) -> int:
     for case in cases:
         if case.kind not in PLANTS[env_kind].cases:
             raise ConfigurationError(f"test case {case.case_id} is not a {env_kind} case")
+        if case.kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
+            require_steady_state_window(env_kind, case.segment_length)
     sec_info = extra.get("sec", {})
     policy = AgentPolicy(agent.actor, m=env.action_dim,
                          t_i=sec_info.get("t_i", cfg["sec.t_i"]),
@@ -135,8 +138,8 @@ def cmd_compare(args) -> int:
 
 def cmd_gen_testcase(args) -> int:
     cfg, seed, out_dir = _load_config(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     case = make_testcase(cfg, args.kind, seed, args.steps)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"testcase-{case.case_id}.npz"
     case.save(path)
     print(str(path))

@@ -3,7 +3,9 @@
 Keys are normative (e.g. ``agent.gamma``, ``sec.t_i``, ``env.grid.v_dc``).
 Defaults are the tuned configuration; hyperparameters carry their search
 ranges and anything outside is rejected unless ``allow_out_of_range`` is
-set.  Schedule breakpoints are stated on the full-scale training horizon
+set.  That option lifts numeric ranges only: a value outside a key's
+``choices`` or an unknown variant name is always refused.  Schedule
+breakpoints are stated on the full-scale training horizon
 (``train.schedule_horizon``) and rescaled proportionally when a shorter
 ``train.steps`` is requested, so desk-scale runs keep the same schedule
 shape.
@@ -179,9 +181,9 @@ class RunConfig:
         horizon = v["train.schedule_horizon"]
         if v["train.rescale_schedules"] and steps != horizon and steps > 0:
             factor = steps / horizon
-            for key in ("agent.lr_decay_start", "agent.lr_decay_end",
-                        "sec.kappa_p_decay_start", "sec.kappa_i_decay_start"):
-                derived[key] = int(round(v[key] * factor))
+            for key, spec in SCHEMA.items():
+                if spec.scaled_by_horizon:
+                    derived[key] = int(round(v[key] * factor))
         # Ring capacity never exceeds the number of transitions generated.
         derived["agent.buffer_size"] = max(1, min(v["agent.buffer_size"], max(steps, 1)))
         return derived
@@ -262,6 +264,18 @@ class RunConfig:
         return json.dumps({"values": self.values, "derived": self.derived}, default=str)
 
 
+def _validate_choices(values: dict) -> None:
+    """Refuse a key outside its ``choices`` or an unknown variant name;
+    ``allow_out_of_range`` does not lift this."""
+    problems = [f"{key}={values[key]!r} not in {spec.choices}" for key, spec in SCHEMA.items()
+                if spec.choices is not None and values[key] not in spec.choices]
+    problems += [f"experiment.variants contains unknown variant {variant!r}"
+                 for variant in values["experiment.variants"] if variant not in VARIANTS]
+    if problems:
+        raise ConfigurationError(
+            "configuration outside the accepted choices:\n  " + "\n  ".join(problems))
+
+
 def _validate_ranges(values: dict) -> None:
     if values["allow_out_of_range"]:
         return
@@ -269,9 +283,6 @@ def _validate_ranges(values: dict) -> None:
     horizon = values["train.schedule_horizon"]
     for key, spec in SCHEMA.items():
         val = values[key]
-        if spec.choices is not None and val not in spec.choices:
-            problems.append(f"{key}={val!r} not in {spec.choices}")
-            continue
         lo = spec.lo
         hi = spec.hi if not spec.scaled_by_horizon else horizon
         if lo is not None and val < lo:
@@ -282,9 +293,6 @@ def _validate_ranges(values: dict) -> None:
         problems.append("agent.lr_final must not exceed agent.lr")
     if values["agent.lr_decay_end"] < values["agent.lr_decay_start"]:
         problems.append("agent.lr_decay_end must be >= agent.lr_decay_start")
-    for variant in values["experiment.variants"]:
-        if variant not in VARIANTS:
-            problems.append(f"experiment.variants contains unknown variant {variant!r}")
     if problems:
         raise ConfigurationError(
             "configuration outside the accepted ranges "
@@ -314,6 +322,7 @@ def parse_config(
             if key not in SCHEMA:
                 raise ConfigurationError(f"unknown config key {key!r} {source}")
             values[key] = _coerce(key, val, SCHEMA[key].default)
+    _validate_choices(values)
     _validate_ranges(values)
     # Not liftable by allow_out_of_range: scoring would fail after training,
     # and each (variant, seed) run owns one run directory and its report rows.

@@ -5,8 +5,10 @@ is either tanh (policy networks, range (-1, 1)) or identity (value
 networks).  Batches are row-major (batch, features).
 
 A network's parameters, its gradients and its optimizer moments are each
-one contiguous vector of ``DTYPE``, laid out by ``layer_views``; the
-per-layer weight and bias arrays are views into that vector.
+one bare contiguous vector, laid out by ``layer_views``; the per-layer
+weight and bias arrays are views into that vector.  ``DTYPE`` is read once,
+where ``MlpParams`` allocates ``data``; gradients, moments and activations
+take the dtype of ``params.data``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ LINEAR = "linear"
 
 _OUTPUT_ACTIVATIONS = (TANH, LINEAR)
 
-# Floating type of every parameter, gradient and optimizer-moment vector.
+# Floating type of a new network's ``data``; everything else follows it.
 DTYPE = np.float64
 
 
@@ -43,23 +45,6 @@ def layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[n
     return weights, biases
 
 
-def _flat_layers(layer_sizes, weights=None, biases=None):
-    """A new flat vector and its per-layer views, holding copies of the
-    ``weights``/``biases`` arrays, or zeros when they are None."""
-    if len(layer_sizes) < 2 or any(s <= 0 for s in layer_sizes):
-        raise ConfigurationError(f"bad layer sizes {layer_sizes}")
-    n = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
-    data = np.zeros(n, DTYPE)
-    w_views, b_views = layer_views(data, layer_sizes)
-    if weights is not None:
-        for view, value in zip([*w_views, *b_views], [*weights, *biases], strict=True):
-            if np.shape(value) != view.shape:
-                raise ConfigurationError(
-                    f"parameter shape {np.shape(value)}, expected {view.shape}")
-            view[...] = value
-    return data, w_views, b_views
-
-
 class MlpParams:
     """Weights/biases of a dense network, stored in one flat vector ``data``.
 
@@ -69,25 +54,25 @@ class MlpParams:
     hidden-layer leaky slope (derivative at exactly 0 is defined as beta).
     """
 
-    def __init__(self, layer_sizes: list[int], weights: list[np.ndarray] | None,
-                 biases: list[np.ndarray] | None, beta: float, output_activation: str = TANH):
-        """Copy ``weights``/``biases`` into a new vector; None for both
-        gives an all-zero network."""
+    def __init__(self, layer_sizes: list[int], beta: float, output_activation: str = TANH):
+        """An all-zero network; write values through ``weights``/``biases``
+        or ``data``."""
         self.layer_sizes = list(layer_sizes)
+        if len(self.layer_sizes) < 2 or any(s <= 0 for s in self.layer_sizes):
+            raise ConfigurationError(f"bad layer sizes {self.layer_sizes}")
         self.beta = beta
         self.output_activation = output_activation
-        self.data, self.weights, self.biases = _flat_layers(self.layer_sizes, weights, biases)
+        n = sum((fan_in + 1) * fan_out
+                for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self.data = np.zeros(n, DTYPE)
+        self.weights, self.biases = layer_views(self.data, self.layer_sizes)
 
     @property
     def in_dim(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layer_sizes[-1]
-
     def copy(self) -> "MlpParams":
-        out = MlpParams(self.layer_sizes, None, None, self.beta, self.output_activation)
+        out = MlpParams(self.layer_sizes, self.beta, self.output_activation)
         out.data[:] = self.data
         return out
 
@@ -104,25 +89,6 @@ class MlpParams:
             raise ConfigurationError("non-finite network parameters")
 
 
-class ParamGrads:
-    """Gradients in the layout of an MlpParams: one flat vector ``data``
-    with per-layer views ``d_weights``/``d_biases``."""
-
-    def __init__(self, d_weights: list[np.ndarray] | None = None,
-                 d_biases: list[np.ndarray] | None = None, layer_sizes: list[int] | None = None):
-        """Copy per-layer gradients into a new vector, or, given only
-        ``layer_sizes``, start from zeros."""
-        if layer_sizes is None:
-            layer_sizes = [np.shape(d_weights[0])[1], *(np.shape(w)[0] for w in d_weights)]
-        self.data, self.d_weights, self.d_biases = _flat_layers(layer_sizes, d_weights, d_biases)
-
-    def flat(self) -> np.ndarray:
-        return self.data.copy()
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
-
 @dataclass
 class ForwardCache:
     """Pre-activations and layer inputs retained for the backward pass."""
@@ -130,7 +96,6 @@ class ForwardCache:
     inputs: list[np.ndarray] = field(default_factory=list)   # input to each layer
     pre_acts: list[np.ndarray] = field(default_factory=list)  # z = x W^T + b
     output: np.ndarray | None = None
-    n_layers: int = 0
 
 
 def mlp_init(
@@ -150,9 +115,7 @@ def mlp_init(
         raise ConfigurationError(
             f"scale factors must be > 0, got weight {weight_scale}, bias {bias_scale}"
         )
-    if not 0 < beta <= 1:
-        raise ConfigurationError(f"hidden slope beta must be in (0, 1], got {beta}")
-    params = MlpParams(layer_sizes, None, None, float(beta), output_activation)
+    params = MlpParams(layer_sizes, float(beta), output_activation)
     for w, b in zip(params.weights, params.biases):
         bound = 1.0 / np.sqrt(w.shape[1])
         w[...] = weight_scale * rng.uniform(-bound, bound, size=w.shape)
@@ -175,7 +138,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray,
     With ``cache=False`` (inference: no backward pass follows) no
     ForwardCache is built and None stands in for it; the output is the
     same, bit for bit."""
-    x = np.asarray(x, dtype=DTYPE)
+    x = np.asarray(x, dtype=params.data.dtype)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
@@ -184,7 +147,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray,
             f"input width {x.shape[1]} does not match network input {params.in_dim}"
         )
     last = len(params.weights) - 1
-    kept = ForwardCache(n_layers=last + 1) if cache else None
+    kept = ForwardCache() if cache else None
     h = x
     for j, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T
@@ -209,17 +172,18 @@ def mlp_forward(params: MlpParams, x: np.ndarray,
 def mlp_backward(
     params: MlpParams, cache: ForwardCache, output_cotangent: np.ndarray,
     param_grads: bool = True, input_grad: bool = True,
-) -> tuple[ParamGrads | None, np.ndarray | None]:
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Exact reverse-mode gradients for a cached forward pass.
 
-    Returns (parameter gradients, cotangent w.r.t. the network input).
-    Batched cotangents are summed into the parameter gradients, matching
-    d(sum of per-sample scalars)/d(params).  With ``param_grads=False`` the
+    Returns (parameter gradients, cotangent w.r.t. the network input); the
+    gradients are a new flat vector in the layout and dtype of
+    ``params.data``.  Batched cotangents are summed into the parameter
+    gradients, matching d(sum of per-sample scalars)/d(params).  With ``param_grads=False`` the
     dW/db products are skipped and None stands in for the gradients; with
     ``input_grad=False`` the first layer's input-cotangent product is
     skipped and None stands in for the input cotangent.
     """
-    g = np.asarray(output_cotangent, dtype=DTYPE)
+    g = np.asarray(output_cotangent, dtype=params.data.dtype)
     squeeze = g.ndim == 1
     if squeeze:
         g = g[None, :]
@@ -229,11 +193,14 @@ def mlp_backward(
         delta = g * (1.0 - cache.output ** 2)
     else:
         delta = g
-    grads = ParamGrads(layer_sizes=params.layer_sizes) if param_grads else None
-    for j in range(cache.n_layers - 1, -1, -1):
+    grads = None
+    if param_grads:
+        grads = np.zeros(params.data.shape, params.data.dtype)
+        d_weights, d_biases = layer_views(grads, params.layer_sizes)
+    for j in range(len(cache.inputs) - 1, -1, -1):
         if grads is not None:
-            np.matmul(delta.T, cache.inputs[j], out=grads.d_weights[j])
-            np.sum(delta, axis=0, out=grads.d_biases[j])
+            np.matmul(delta.T, cache.inputs[j], out=d_weights[j])
+            np.sum(delta, axis=0, out=d_biases[j])
         if j == 0 and not input_grad:
             return grads, None
         delta = delta @ params.weights[j]

@@ -1,10 +1,10 @@
 """First-order optimizers over MlpParams (Adam default; SGD/RMSprop variants).
 
 All optimizers minimize: they step along the negative gradient.  Callers
-that maximize pass the negated gradient.  Each moment is one flat vector in
-the parameter layout and of the parameters' dtype, so every step is a
-handful of whole-vector operations; ``mlp.layer_views`` cuts it into
-per-layer weights and biases.
+that maximize pass the negated gradient.  Each moment, like the gradient,
+is one bare flat vector in the parameter layout and of the parameters'
+dtype, so every step is a handful of whole-vector operations;
+``mlp.layer_views`` cuts it into per-layer weights and biases.
 
 Each state class declares its ``KIND`` (the ``agent.optimizer`` name), its
 ``MOMENTS`` (flat vector fields) and its ``SCALARS`` (the fields a
@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .. import ConfigurationError, TrainingFault
-from .mlp import MlpParams, ParamGrads
+from .mlp import MlpParams
 
 
 @dataclass
@@ -126,10 +126,11 @@ def make_optimizer(kind: str, params: MlpParams) -> OptimizerState:
     return OPTIMIZERS[kind].for_params(params)
 
 
-def optimizer_step(state: OptimizerState, params: MlpParams, grads: ParamGrads, lr: float) -> None:
-    """One in-place minimization step; lr = 0 leaves params untouched."""
+def optimizer_step(state: OptimizerState, params: MlpParams, grads: np.ndarray, lr: float) -> None:
+    """One in-place minimization step along the flat gradient ``grads``
+    (layout and dtype of ``params.data``); lr = 0 leaves params untouched."""
     if lr < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
-    if not grads.is_finite():
+    if not np.isfinite(grads).all():
         raise TrainingFault("non-finite gradient passed to optimizer")
-    state.update(params.data, grads.data, lr)
+    state.update(params.data, grads, lr)

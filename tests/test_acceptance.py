@@ -50,7 +50,7 @@ class TestCriterion1Gradients:
                                 int(rng.integers(1, 4)),
                                 "tanh" if i % 2 else "linear")
             x = rng.uniform(-1.5, 1.5, size=params.in_dim)
-            cot = rng.uniform(-1, 1, size=params.out_dim)
+            cot = rng.uniform(-1, 1, size=params.layer_sizes[-1])
             _, cache = mlp_forward(params, x)
             grads, _ = mlp_backward(params, cache, cot)
 
@@ -58,7 +58,7 @@ class TestCriterion1Gradients:
                 out, _ = mlp_forward(p, x)
                 return float(np.dot(cot, out))
 
-            assert relative_error(grads.flat(), fd_param_gradient(scalar, params)) < 1e-5
+            assert relative_error(grads, fd_param_gradient(scalar, params)) < 1e-5
             cases += 1
 
         # Value-estimate training path: mean squared bootstrapped residual.
@@ -78,7 +78,7 @@ class TestCriterion1Gradients:
                 qq, _ = mlp_forward(p, x)
                 return float(np.mean((qq[:, 0] - y) ** 2))
 
-            assert relative_error(grads.flat(), fd_param_gradient(loss, critic)) < 1e-5
+            assert relative_error(grads, fd_param_gradient(loss, critic)) < 1e-5
             cases += 1
 
         # Policy-fitness path: chain rule through a frozen value network.
@@ -98,7 +98,7 @@ class TestCriterion1Gradients:
                 qq, _ = mlp_forward(critic, np.hstack([obs, aa]))
                 return float(np.mean(qq))
 
-            assert relative_error(grads.flat(), fd_param_gradient(fitness, actor)) < 1e-5
+            assert relative_error(grads, fd_param_gradient(fitness, actor)) < 1e-5
             cases += 1
 
         assert cases >= 100

@@ -46,13 +46,9 @@ def random_batch(agent: DdpgAgent, n: int, seed=1):
 def constant_critic(obs_dim: int, action_dim: int, value: float) -> MlpParams:
     """Single linear layer with zero weights: q = value everywhere."""
     in_dim = obs_dim + action_dim
-    return MlpParams(
-        layer_sizes=[in_dim, 1],
-        weights=[np.zeros((1, in_dim))],
-        biases=[np.array([value])],
-        beta=0.01,
-        output_activation=LINEAR,
-    )
+    critic = MlpParams([in_dim, 1], beta=0.01, output_activation=LINEAR)
+    critic.biases[0][...] = value
+    return critic
 
 
 class TestSoftUpdate:
@@ -123,7 +119,9 @@ class TestCriticUpdate:
         agent = small_agent(obs_dim=1, action_dim=1, gamma=0.9, seed=7)
         w = np.array([[0.4, -0.3]])
         b = np.array([0.1])
-        agent.critic = MlpParams([2, 1], [w.copy()], [b.copy()], 0.01, LINEAR)
+        agent.critic = MlpParams([2, 1], 0.01, LINEAR)
+        agent.critic.weights[0][...] = w
+        agent.critic.biases[0][...] = b
         from secrl.nn.optim import make_optimizer
 
         agent.critic_opt = make_optimizer("adam", agent.critic)
@@ -160,7 +158,7 @@ class TestCriticUpdate:
             return float(np.mean((qq[:, 0] - y) ** 2))
 
         fd = fd_param_gradient(loss_fn, agent.critic)
-        assert relative_error(grads.flat(), fd) < 1e-5
+        assert relative_error(grads, fd) < 1e-5
 
     def test_targets_untouched_by_update(self):
         agent = small_agent(seed=9)
@@ -186,14 +184,9 @@ class TestActorUpdate:
         beta = 0.01
         agent = small_agent(obs_dim=2, action_dim=1, seed=11)
         scale = 1.0 / (1.0 - beta)
-        critic = MlpParams(
-            layer_sizes=[3, 2, 1],
-            weights=[np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
-                     np.array([[-scale, -scale]])],
-            biases=[np.zeros(2), np.zeros(1)],
-            beta=beta,
-            output_activation=LINEAR,
-        )
+        critic = MlpParams([3, 2, 1], beta=beta, output_activation=LINEAR)
+        critic.weights[0][...] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        critic.weights[1][...] = [[-scale, -scale]]
         agent.critic = critic
         obs = derive_rng(11, 1).uniform(-1, 1, size=(16, 2))
         batch = (obs, None, None, None, None)
@@ -227,7 +220,7 @@ class TestActorUpdate:
         grads, _ = mlp_backward(agent.actor, actor_cache, x_cot[:, 3:])
 
         fd = fd_param_gradient(fitness_fn, agent.actor)
-        assert relative_error(grads.flat(), fd) < 1e-5
+        assert relative_error(grads, fd) < 1e-5
 
     def test_critic_frozen_during_actor_step(self):
         agent = small_agent(seed=13)

@@ -15,7 +15,7 @@ from secrl.checkpoint import load_agent
 from secrl.cli import main
 from secrl.config import parse_config, parse_override_strings
 from secrl.evaluation.experiment import PLANTS, make_testcase
-from secrl.evaluation.testcases import TestCase
+from secrl.evaluation.testcases import TestCase, gen_steadystate_testcase
 
 FAST_TRAIN = [
     "--override", "train.steps=120",
@@ -445,10 +445,14 @@ def test_refused_eval_leaves_out_untouched(paused_run, tmp_path, capsys):
     assert main(["gen-testcase", "--kind", "grid-steadystate", "--seed", "8",
                  "--override", "experiment.segments=2", "--out", str(tmp_path / "cases")]) == 0
     grid_case = capsys.readouterr().out.strip()
+    # 150-step segments leave the motor plant, which skips 200, no window.
+    short_case = tmp_path / "short.npz"
+    gen_steadystate_testcase("motor-steadystate", 5, 2, 150).save(short_case)
     # Under another seed, an echo written by a refused eval would differ.
     for refusal in (["--testcase", str(tmp_path / "nonexistent.npz")],
                     ["--testcase", str(case_path), "--override", "env.past_measurements=7"],
-                    ["--testcase", str(case_path), "--testcase", grid_case]):
+                    ["--testcase", str(case_path), "--testcase", grid_case],
+                    ["--testcase", str(case_path), "--testcase", str(short_case)]):
         for out in (fresh, used):
             capsys.readouterr()
             assert main(["eval", "--checkpoint", agent, *refusal, "--seed", "9",
@@ -469,7 +473,7 @@ def test_gen_testcase_refuses_misread_steps(tmp_path, capsys, kind, steps):
                  "--override", "experiment.segments=3"]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "configuration" and "steps" in record["message"]
-    assert not list(out.glob("*.npz"))
+    assert not out.exists()
 
 
 def test_compare_refuses_segments_without_a_steady_state_window(tmp_path, capsys):
@@ -502,14 +506,34 @@ def test_compare_refuses_empty_or_repeated_seeds_and_variants(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("experiment.variants", "[ddpg,sec-dpg]", "unknown variant 'sec-dpg'"),
+    ("agent.optimizer", "adamw", "agent.optimizer='adamw' not in"),
+])
+def test_compare_refuses_unknown_choices_despite_allow_out_of_range(
+        tmp_path, capsys, key, value, message):
+    # allow_out_of_range lifts numeric ranges only; a misspelt name would
+    # otherwise fail its runs one by one and still exit 0.  Toy sizes, so
+    # that a missing refusal fails fast rather than training at full size.
+    out = tmp_path / "cmp"
+    assert main(["compare", "--out", str(out), "--override", "env.kind=motor",
+                 "--override", "experiment.seeds=1",
+                 "--override", "experiment.motor_profile_steps=1000",
+                 "--override", "experiment.segments=2", *FAST_TRAIN,
+                 "--override", f"{key}={value}", "--override", "allow_out_of_range=true"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "configuration" and message in record["message"]
+    assert not out.exists()
+
+
 def test_gen_testcase_refuses_the_other_plants_case_without_a_window(tmp_path, capsys):
     # 150 steps leave the grid plant a window (it skips 100), not the motor.
-    base = ["--out", str(tmp_path), "--override", "env.kind=grid",
+    base = ["--out", str(tmp_path / "cases"), "--override", "env.kind=grid",
             "--override", "experiment.segment_length=150", "--override", "experiment.segments=2"]
     assert main(["gen-testcase", "--kind", "motor-steadystate", *base]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "configuration" and "200 steps" in record["message"]
-    assert not list(tmp_path.glob("*.npz"))
+    assert not (tmp_path / "cases").exists()
     assert main(["gen-testcase", "--kind", "grid-steadystate", *base]) == 0
 
 

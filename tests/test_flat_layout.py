@@ -9,7 +9,6 @@ from secrl.ddpg.agent import soft_update
 from secrl.nn.mlp import (
     LINEAR,
     TANH,
-    ParamGrads,
     input_cotangent,
     layer_views,
     mlp_backward,
@@ -88,7 +87,11 @@ def test_optimizer_step_byte_equal_to_per_layer_reference(kind):
         d_w = [rng.normal(size=w.shape) for w in params.weights]
         d_b = [rng.normal(size=b.shape) for b in params.biases]
         lr = 1e-2 * (1 + k % 3)
-        optimizer_step(state, params, ParamGrads(d_weights=d_w, d_biases=d_b), lr)
+        grads = np.zeros_like(params.data)
+        g_w, g_b = layer_views(grads, params.layer_sizes)
+        for view, value in zip([*g_w, *g_b], [*d_w, *d_b], strict=True):
+            view[...] = value
+        optimizer_step(state, params, grads, lr)
         ref_g = _per_layer(d_w, d_b)
         if kind == "adam":
             _ref_adam(ref_p, ref_g, ref_m[0], ref_m[1], k, lr)
@@ -130,7 +133,7 @@ def test_backward_byte_equal_to_per_layer_products(batch, output_activation):
         delta = delta @ params.weights[j]
         if j > 0:
             delta = delta * np.where(cache.pre_acts[j - 1] > 0.0, 1.0, params.beta)
-    assert _same_bytes(_per_layer(grads.d_weights, grads.d_biases), ref)
+    assert _same_bytes(_per_layer(*layer_views(grads, params.layer_sizes)), ref)
     assert x_cot.tobytes() == delta.tobytes()
     assert input_cotangent(params, cache, cot).tobytes() == delta.tobytes()
     skipped, x_only = mlp_backward(params, cache, cot, param_grads=False)
@@ -151,8 +154,7 @@ def _offsets(sizes):
 def test_views_alias_the_flat_vector_and_copies_are_independent():
     params = _net(7)
     state = AdamState.for_params(params)
-    grads = ParamGrads(d_weights=[np.ones_like(w) for w in params.weights],
-                       d_biases=[np.ones_like(b) for b in params.biases])
+    grads = np.ones_like(params.data)
     optimizer_step(state, params, grads, lr=1e-2)
     spans, total = _offsets(SIZES)
     flat = params.flat()

@@ -14,7 +14,15 @@ from helpers import (
     relative_error,
 )
 from secrl import ConfigurationError
-from secrl.nn.mlp import LINEAR, TANH, MlpParams, mlp_backward, mlp_forward, mlp_init
+from secrl.nn.mlp import (
+    LINEAR,
+    TANH,
+    MlpParams,
+    layer_views,
+    mlp_backward,
+    mlp_forward,
+    mlp_init,
+)
 from secrl.seeding import derive_rng
 
 
@@ -63,13 +71,9 @@ def test_forward_zero_network_gives_zero():
 
 
 def test_forward_single_linear_layer_hand_value():
-    params = MlpParams(
-        layer_sizes=[1, 1],
-        weights=[np.array([[2.0]])],
-        biases=[np.array([1.0])],
-        beta=0.2,
-        output_activation=LINEAR,
-    )
+    params = MlpParams([1, 1], beta=0.2, output_activation=LINEAR)
+    params.weights[0][...] = 2.0
+    params.biases[0][...] = 1.0
     out, _ = mlp_forward(params, np.array([3.0]))
     assert out[0] == pytest.approx(7.0, abs=0.0)
 
@@ -104,7 +108,7 @@ def test_backward_zero_cotangent_gives_zero_gradients():
     x = rng.uniform(-1, 1, size=4)
     _, cache = mlp_forward(params, x)
     grads, x_cot = mlp_backward(params, cache, np.zeros(2))
-    assert np.all(grads.flat() == 0.0)
+    assert np.all(grads == 0.0)
     assert np.all(x_cot == 0.0)
 
 
@@ -113,14 +117,17 @@ def test_backward_linear_regression_closed_form():
     # dL/dW = 2(Wx + b - t) x^T, dL/db = 2(Wx + b - t).
     w = np.array([[1.5, -0.5]])
     b = np.array([0.25])
-    params = MlpParams([2, 1], [w.copy()], [b.copy()], beta=0.2, output_activation=LINEAR)
+    params = MlpParams([2, 1], beta=0.2, output_activation=LINEAR)
+    params.weights[0][...] = w
+    params.biases[0][...] = b
     x = np.array([0.7, -1.2])
     t = 2.0
     out, cache = mlp_forward(params, x)
     resid = out[0] - t
     grads, _ = mlp_backward(params, cache, np.array([2.0 * resid]))
-    assert np.allclose(grads.d_weights[0], 2.0 * resid * x[None, :], rtol=1e-14)
-    assert np.allclose(grads.d_biases[0], [2.0 * resid], rtol=1e-14)
+    d_weights, d_biases = layer_views(grads, params.layer_sizes)
+    assert np.allclose(d_weights[0], 2.0 * resid * x[None, :], rtol=1e-14)
+    assert np.allclose(d_biases[0], [2.0 * resid], rtol=1e-14)
 
 
 @pytest.mark.parametrize("output_activation", [TANH, LINEAR])
@@ -144,7 +151,7 @@ def test_gradients_match_finite_differences(output_activation):
             return float(np.dot(cot, out))
 
         fd = fd_param_gradient(scalar, params)
-        assert relative_error(grads.flat(), fd) < 1e-5
+        assert relative_error(grads, fd) < 1e-5
         fd_x = fd_input_gradient(params, x, cot)
         assert relative_error(x_cot, fd_x) < 1e-5
 
@@ -160,19 +167,15 @@ def test_backward_batch_sums_sample_gradients():
     for i in range(4):
         _, c = mlp_forward(params, xs[i])
         g, _ = mlp_backward(params, c, cots[i])
-        acc = g.flat() if acc is None else acc + g.flat()
-    assert np.allclose(batch_grads.flat(), acc, rtol=1e-12)
+        acc = g if acc is None else acc + g
+    assert np.allclose(batch_grads, acc, rtol=1e-12)
 
 
 def test_leaky_hidden_activation_applies_slope_on_negative_side():
     beta = 0.25
-    params = MlpParams(
-        layer_sizes=[1, 1, 1],
-        weights=[np.array([[1.0]]), np.array([[1.0]])],
-        biases=[np.array([0.0]), np.array([0.0])],
-        beta=beta,
-        output_activation=LINEAR,
-    )
+    params = MlpParams([1, 1, 1], beta=beta, output_activation=LINEAR)
+    params.weights[0][...] = 1.0
+    params.weights[1][...] = 1.0
     out_pos, _ = mlp_forward(params, np.array([2.0]))
     out_neg, _ = mlp_forward(params, np.array([-2.0]))
     assert out_pos[0] == pytest.approx(2.0)

@@ -5,16 +5,13 @@ import pytest
 
 from helpers import random_mlp
 from secrl import TrainingFault
-from secrl.nn.mlp import LINEAR, ParamGrads
+from secrl.nn.mlp import LINEAR, layer_views
 from secrl.nn.optim import AdamState, make_optimizer, optimizer_step
 from secrl.seeding import derive_rng
 
 
 def _grads_like(params, fill):
-    return ParamGrads(
-        d_weights=[np.full_like(w, fill) for w in params.weights],
-        d_biases=[np.full_like(b, fill) for b in params.biases],
-    )
+    return np.full(params.data.shape, fill, params.data.dtype)
 
 
 def test_zero_learning_rate_leaves_params_unchanged():
@@ -55,7 +52,7 @@ def test_adam_matches_scalar_reference_recursion():
     state = AdamState.for_params(params)
     for g in g_seq:
         grads = _grads_like(params, 0.0)
-        grads.d_weights[0][0, 0] = g
+        layer_views(grads, params.layer_sizes)[0][0][0, 0] = g
         optimizer_step(state, params, grads, lr=lr)
     assert params.weights[0][0, 0] == pytest.approx(p_ref, rel=1e-12)
 
@@ -76,7 +73,7 @@ def test_non_finite_gradient_raises_training_fault():
     rng = derive_rng(9, 0)
     params = random_mlp(rng, 1, 2, 1, LINEAR)
     grads = _grads_like(params, 1.0)
-    grads.d_weights[0][0, 0] = np.nan
+    layer_views(grads, params.layer_sizes)[0][0][0, 0] = np.nan
     with pytest.raises(TrainingFault):
         optimizer_step(AdamState.for_params(params), params, grads, lr=1e-3)
 

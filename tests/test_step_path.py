@@ -17,7 +17,15 @@ from secrl.baselines.pi import PiController
 from secrl.envs.grid import GridEnv, GridParams, seeded_load_series
 from secrl.envs.motor import MotorEnv, MotorParams
 from secrl.evaluation.experiment import AgentPolicy
-from secrl.nn.mlp import LINEAR, TANH, MlpParams, mlp_backward, mlp_forward, mlp_init
+from secrl.nn.mlp import (
+    LINEAR,
+    TANH,
+    MlpParams,
+    layer_views,
+    mlp_backward,
+    mlp_forward,
+    mlp_init,
+)
 from secrl.sec import SecState, sec_apply
 from secrl.seeding import STREAM_NOISE, derive_rng
 
@@ -371,14 +379,14 @@ def test_backward_without_input_grad_keeps_parameter_gradients():
     grads, x_cot = mlp_backward(params, cache, cot)
     skipped, none = mlp_backward(params, cache, cot, input_grad=False)
     assert none is None and x_cot.shape == (32, 7)
-    assert _same(skipped.data, grads.data)
+    assert _same(skipped, grads)
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, np.inf, np.nan, 0.0, -0.1])
 def test_hidden_slope_outside_unit_interval_is_rejected(beta):
     with pytest.raises(ConfigurationError, match="beta"):
         mlp_init([2, 3, 1], beta, TANH, 1.0, 1.0, derive_rng(0, 0))
-    params = MlpParams([2, 3, 1], None, None, beta, TANH)
+    params = MlpParams([2, 3, 1], beta, TANH)
     with pytest.raises(ConfigurationError, match="beta"):
         params.validate()
 
@@ -404,5 +412,5 @@ def test_backward_slope_at_the_kink_is_beta():
     assert np.all(cache.pre_acts[0][:, :4] == 0.0)
     grads, x_cot = mlp_backward(params, cache, cot)
     delta = (cot @ params.weights[1]) * np.where(cache.pre_acts[0] > 0.0, 1.0, params.beta)
-    assert _same(grads.d_weights[0], delta.T @ x)
+    assert _same(layer_views(grads, params.layer_sizes)[0][0], delta.T @ x)
     assert _same(x_cot, delta @ params.weights[0])
