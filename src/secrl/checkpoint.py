@@ -4,11 +4,13 @@ Two levels: a full agent (networks, targets, optimizer moments), and a
 complete training snapshot (agent plus replay buffer, noise/integrator
 state, rng states, and environment state) that resumes bit-exactly.
 Members are stored uncompressed, as float64 weights, moments and replay
-rows barely deflate.  A stored member whose npy header is the one numpy
-writes for its destination is read straight from the file into that
-vector; older deflated files, and members with any other header, are read
-through ``zipfile``.  ``atomic_write`` here is the one writer of every file
-a run leaves, checkpoints, CSVs (``write_csv``), json and yaml alike.
+rows barely deflate.  One reader (``_reading``, ``_read_into``) reads every
+npz file the package loads, checkpoints and test cases alike: it checks
+each member's zip entries before it opens the member, then reads a stored
+member straight from the file into its destination vector, and a deflated
+one (older checkpoints, test cases) through a ``zipfile`` stream.
+``atomic_write`` here is the one writer of every file a run leaves,
+checkpoints, CSVs (``write_csv``), json and yaml alike.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import json
 import os
 import struct
+import tokenize
 import zipfile
 import zlib
 from pathlib import Path
@@ -30,9 +33,10 @@ from .ddpg.agent import AgentConfig, DdpgAgent
 from .nn.mlp import layer_views
 
 FORMAT_VERSION = 1
-_READ_CHUNK = 1 << 18  # bytes
 # A zip local file header: signature, flags, method, name and extra lengths.
 _LOCAL_HEADER = struct.Struct("<4s2xHH16xHH")
+# The start of an npy 1.0 member; the header's length follows, a uint16.
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
 # What reading a damaged, truncated or foreign npz file can raise.
 READ_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error)
 
@@ -107,77 +111,119 @@ def _bytes_of(out: np.ndarray) -> memoryview:
     return memoryview(out).cast("B") if out.size else memoryview(bytearray())
 
 
-def _read_stored(zf: zipfile.ZipFile, key: str, out: np.ndarray) -> bool:
-    """Read member ``key`` straight from the file into ``out`` and return
-    True when it is stored, has no flag bits set and begins with the npy
-    header numpy writes for ``out``; else read nothing and return False.
-    A short read, or a stored size or CRC that disagrees, raises
-    ConfigurationError."""
+@contextlib.contextmanager
+def _member(zf: zipfile.ZipFile, key: str):
+    """Open npz member ``key`` and yield ``(info, header, source)``: its zip
+    entry, its npy 1.0 header, and a reader at the first data byte, the
+    file itself when the member is stored, a ``zipfile`` stream when it is
+    deflated.  Another method, any flag bit (encryption, data descriptor),
+    a local header whose signature, flags, method or name disagrees with
+    the directory, or no npy 1.0 magic raises ConfigurationError naming
+    ``key``; so ``zf.open`` meets only entries it reads."""
     info = zf.getinfo(f"{key}.npy")
-    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits:
-        return False
-    header = _npy_header(out.shape, out.dtype)
+    if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED) or info.flag_bits:
+        raise ConfigurationError(f"checkpoint member {key}: zip method {info.compress_type} "
+                                 f"with flags {info.flag_bits:#x} is not stored or deflated")
     zf.fp.seek(info.header_offset)
-    local = zf.fp.read(_LOCAL_HEADER.size)
-    if len(local) != _LOCAL_HEADER.size:
-        return False
+    # A short local header, padded, then fails the name check.
+    local = zf.fp.read(_LOCAL_HEADER.size).ljust(_LOCAL_HEADER.size, b"\0")
     signature, flags, method, name_len, extra_len = _LOCAL_HEADER.unpack(local)
-    head = zf.fp.read(name_len + extra_len + len(header))
-    if ((signature, flags, method) != (b"PK\x03\x04", 0, zipfile.ZIP_STORED)
-            or head[:name_len] != info.orig_filename.encode()
-            or head[name_len + extra_len:] != header):
-        return False
+    if ((signature, flags, method) != (b"PK\x03\x04", 0, info.compress_type)
+            or zf.fp.read(name_len) != info.orig_filename.encode()):
+        raise ConfigurationError(f"checkpoint member {key}: local header disagrees with "
+                                 "the zip directory")
+    zf.fp.seek(extra_len, os.SEEK_CUR)
+    stored = info.compress_type == zipfile.ZIP_STORED
+    with contextlib.nullcontext(zf.fp) if stored else zf.open(info) as source:
+        start = source.read(len(_NPY_MAGIC) + 2)
+        if len(start) != len(_NPY_MAGIC) + 2 or not start.startswith(_NPY_MAGIC):
+            raise ConfigurationError(f"checkpoint member {key}: not an npy 1.0 array")
+        yield info, start + source.read(int.from_bytes(start[-2:], "little")), source
+
+
+def _parse_header(key: str, header: bytes) -> tuple:
+    """``(shape, fortran_order, dtype)`` of an npy 1.0 header; one numpy
+    cannot parse raises ConfigurationError naming ``key``."""
+    try:
+        return np.lib.format.read_array_header_1_0(io.BytesIO(header[len(_NPY_MAGIC):]))
+    except (ValueError, SyntaxError, tokenize.TokenError) as exc:
+        raise ConfigurationError(f"checkpoint member {key}: {exc}") from exc
+
+
+def _fill(key: str, info: zipfile.ZipInfo, header: bytes, source, out: np.ndarray) -> None:
+    """Read a member's data, after ``header``, from ``source`` into ``out``
+    with one ``readinto``; a stored member then gets one CRC pass over
+    header and data (a deflated stream checks its own CRC).  A directory
+    size other than the header's, a short read or a CRC mismatch raises
+    ConfigurationError."""
     size = len(header) + out.nbytes
     if info.file_size != size:
         raise ConfigurationError(
             f"checkpoint member {key} is truncated" if info.file_size < size
             else f"checkpoint member {key} is longer than its header says")
     dest = _bytes_of(out)
-    if zf.fp.readinto(dest) != out.nbytes:
+    if source.readinto(dest) != out.nbytes:
         raise ConfigurationError(f"checkpoint member {key} is truncated")
-    if zlib.crc32(dest, zlib.crc32(header)) != info.CRC:
+    if (info.compress_type == zipfile.ZIP_STORED
+            and zlib.crc32(dest, zlib.crc32(header)) != info.CRC):
         raise ConfigurationError(f"checkpoint member {key} fails its CRC check")
-    return True
 
 
-def _read_into(data, key: str, out: np.ndarray) -> None:
-    """Read npz member ``key`` straight into the view ``out``: through
-    ``_read_stored`` when it can, else through ``zipfile``, which checks the
-    CRC.  A member of another shape or dtype raises ConfigurationError."""
-    if _read_stored(data.zip, key, out):
-        return
-    with data.zip.open(f"{key}.npy") as fh:
-        if np.lib.format.read_magic(fh) != (1, 0):
-            raise ConfigurationError(f"checkpoint member {key}: unsupported npy version")
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-        if (shape, fortran_order, dtype) != (out.shape, False, out.dtype):
-            raise ConfigurationError(
-                f"checkpoint member {key}: {dtype}{shape}, expected {out.dtype}{out.shape}")
-        # Chunked like np.load: a small reused read buffer stays in cache.
-        dest = _bytes_of(out)
-        for at in range(0, out.nbytes, _READ_CHUNK):
-            chunk = dest[at:at + _READ_CHUNK]
-            if fh.readinto(chunk) != len(chunk):
-                raise ConfigurationError(f"checkpoint member {key} is truncated")
+def _read_into(data: zipfile.ZipFile, key: str, out: np.ndarray) -> None:
+    """Read npz member ``key`` straight into the view ``out``.  A header
+    other than the one numpy writes for ``out`` is parsed, so other padding
+    loads; a member of another shape or dtype raises ConfigurationError."""
+    with _member(data, key) as (info, header, source):
+        if header != _npy_header(out.shape, out.dtype):
+            shape, fortran_order, dtype = _parse_header(key, header)
+            if (shape, fortran_order, dtype) != (out.shape, False, out.dtype):
+                raise ConfigurationError(
+                    f"checkpoint member {key}: {dtype}{shape}, expected {out.dtype}{out.shape}")
+        _fill(key, info, header, source, out)
+
+
+def _read_meta(zf: zipfile.ZipFile) -> str:
+    """The text of the 0-d unicode member ``meta``."""
+    with _member(zf, "meta") as (info, header, source):
+        shape, _, dtype = _parse_header("meta", header)
+        if shape != () or dtype.kind != "U" or info.file_size != len(header) + dtype.itemsize:
+            raise ConfigurationError(f"checkpoint member meta: {dtype}{shape} in "
+                                     f"{info.file_size} bytes, expected one text")
+        meta = np.empty((), dtype)
+        _fill("meta", info, header, source, meta)
+    return str(meta)
+
+
+def _zip_file(path: str | Path) -> zipfile.ZipFile:
+    """``path`` opened as a zip file, its directory read; an entry that
+    needs a later zip version raises BadZipFile."""
+    try:
+        return zipfile.ZipFile(path)
+    except NotImplementedError as exc:
+        raise zipfile.BadZipFile(str(exc)) from exc
 
 
 @contextlib.contextmanager
 def _reading(path: str | Path, kind: str):
-    """Yield ``(meta, data)``, the meta decoded by ``_decode``; unreadable
-    files, missing members or meta fields of the wrong kind (also when
-    looked up inside the ``with`` block) and other versions raise
-    ConfigurationError, and one raised inside the block passes as is."""
+    """Yield ``(meta, data)`` of npz file ``path``: its decoded meta and the
+    open file, whose members ``_read_into`` reads.  ``kind`` is ``"agent"``
+    or ``"trainer"`` for a checkpoint, whose other versions are refused, or
+    ``"test case"``.  A damaged or foreign file, a missing member or a meta
+    field of the wrong kind (also one looked up inside the ``with`` block)
+    raises ConfigurationError.  A ConfigurationError raised inside a
+    checkpoint's block passes as is; a test case reports it as unreadable."""
+    noun = kind if kind == "test case" else "checkpoint"
     try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]), object_hook=_decode)
-            if meta.get("version") != FORMAT_VERSION:
-                raise ConfigurationError(
-                    f"unsupported {kind} checkpoint version {meta.get('version')}")
-            yield meta, data
-    except ConfigurationError:
-        raise
+        with _zip_file(path) as zf:
+            meta = json.loads(_read_meta(zf), object_hook=_decode)
+            version = meta.get("version") if isinstance(meta, dict) else None
+            if noun == "checkpoint" and version != FORMAT_VERSION:
+                raise ConfigurationError(f"unsupported {kind} checkpoint version {version}")
+            yield meta, zf
     except READ_ERRORS as exc:
-        raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from exc
+        if noun == "checkpoint" and isinstance(exc, ConfigurationError):
+            raise
+        raise ConfigurationError(f"cannot read {noun} {path}: {exc}") from exc
 
 
 # -- full agents -----------------------------------------------------------
@@ -296,10 +342,22 @@ def _check_config(path, stored: dict, current: dict) -> None:
             f"checkpoint {path} was written with a different config: " + "; ".join(diffs))
 
 
+# The JSON kind of each type a trainer state holds; a numpy scalar is
+# stored as its ``item()``, as ``_encode`` writes it.
+_JSON_KINDS = {bool: "bool", int: "int", float: "float", str: "str", list: "list",
+               tuple: "list", type(None): "null"}
+
+
+def _json_kind(value) -> str:
+    value = value.item() if isinstance(value, np.generic) else value
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
 def _check_layout(stored, live, where: str = "trainer_state") -> None:
-    """Refuse a stored trainer state whose dicts hold other keys, or whose
-    arrays have other shapes, than the ``live`` one's; list lengths and
-    scalar values are left to ``Trainer.load_state_dict``."""
+    """Refuse a stored trainer state whose dicts hold other keys, whose
+    arrays have other shapes, or whose other values are of another JSON
+    kind than the ``live`` one's; list lengths and scalar values are left
+    to ``Trainer.load_state_dict``."""
     if isinstance(live, dict):
         if not isinstance(stored, dict):
             raise ConfigurationError(f"checkpoint {where}: {type(stored).__name__}, expected a dict")
@@ -313,6 +371,9 @@ def _check_layout(stored, live, where: str = "trainer_state") -> None:
         shape = stored.shape if isinstance(stored, np.ndarray) else type(stored).__name__
         if shape != live.shape:
             raise ConfigurationError(f"checkpoint {where}: shape {shape}, expected {live.shape}")
+    elif _json_kind(stored) != _json_kind(live):
+        raise ConfigurationError(
+            f"checkpoint {where}: {_json_kind(stored)}, expected {_json_kind(live)}")
 
 
 def _unpack_buffer(scalars: dict, data, buffer) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -90,10 +91,27 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _agent_extra(extra, cfg: RunConfig) -> tuple[str, dict]:
+    """The plant and integrator settings in an agent file's ``extra``, the
+    config's plant when it names none; an ``extra`` that is no dict, a
+    plant name that is no plant, or a ``sec`` entry that is no dict of
+    positive numbers raises ConfigurationError."""
+    if not isinstance(extra, dict):
+        raise ConfigurationError(f"checkpoint extra: {type(extra).__name__}, expected a dict")
+    env_kind, sec = extra.get("env_kind", cfg["env.kind"]), extra.get("sec", {})
+    if env_kind not in list(PLANTS):
+        raise ConfigurationError(
+            f"checkpoint extra.env_kind: {env_kind!r}, expected one of {', '.join(PLANTS)}")
+    if not isinstance(sec, dict) or not all(
+            type(v) in (int, float) and 0 < v < math.inf for v in sec.values()):
+        raise ConfigurationError(f"checkpoint extra.sec: {sec!r}, expected positive numbers")
+    return env_kind, sec
+
+
 def cmd_eval(args) -> int:
     cfg, seed, out_dir = _load_config(args)
     agent, extra = load_agent(args.checkpoint)
-    env_kind = extra.get("env_kind", cfg["env.kind"])
+    env_kind, sec_info = _agent_extra(extra, cfg)
     if env_kind != cfg["env.kind"]:
         log.warning("checkpoint env %s overrides config env %s", env_kind, cfg["env.kind"])
         cfg.values["env.kind"] = env_kind
@@ -109,7 +127,6 @@ def cmd_eval(args) -> int:
             raise ConfigurationError(f"test case {case.case_id} is not a {env_kind} case")
         if case.kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
             require_steady_state_window(env_kind, case.segment_length)
-    sec_info = extra.get("sec", {})
     policy = AgentPolicy(agent.actor, m=env.action_dim,
                          t_i=sec_info.get("t_i", cfg["sec.t_i"]),
                          t_aw=sec_info.get("t_aw", cfg["sec.t_aw"]))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import ConfigurationError
-from ..checkpoint import READ_ERRORS, atomic_write
+from ..checkpoint import _read_into, _reading, atomic_write
 from ..envs.grid import R_LOAD_MAX, R_LOAD_MIN, seeded_load_series
 from ..seeding import STREAM_ENV, derive_rng
 
@@ -73,15 +73,16 @@ class TestCase:
     def load(cls, path: str | Path) -> "TestCase":
         """The saved case; an unreadable or malformed file raises
         ConfigurationError."""
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["meta"]))
-                return cls(
-                    kind=meta["kind"], seed=meta["seed"], duration=meta["duration"],
-                    segment_length=meta["segment_length"], payload=data["payload"],
-                )
-        except READ_ERRORS as exc:
-            raise ConfigurationError(f"cannot read test case {path}: {exc}") from exc
+        with _reading(path, "test case") as (meta, data):
+            kind, duration = meta["kind"], meta["duration"]
+            shape = (duration,) if kind in (GRID_LOAD_PROFILE, GRID_STEADYSTATE) else (duration, 2)
+            # The directory's size bounds the payload before it is allocated.
+            if data.getinfo("payload.npy").file_size < 8 * np.prod(shape):
+                raise ConfigurationError(f"payload holds fewer than {duration} steps")
+            payload = np.empty(shape)
+            _read_into(data, "payload", payload)
+            return cls(kind=kind, seed=meta["seed"], duration=duration,
+                       segment_length=meta["segment_length"], payload=payload)
 
 
 def gen_grid_testcase(seed: int, steps: int = 100_000, dt: float = 1e-4) -> TestCase:

@@ -5,13 +5,14 @@ import logging
 import re
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
 import yaml
 
 from secrl import TrainingFault, checkpoint
-from secrl.checkpoint import load_agent
+from secrl.checkpoint import load_agent, save_agent
 from secrl.cli import main
 from secrl.config import parse_config, parse_override_strings
 from secrl.evaluation.experiment import PLANTS, make_testcase
@@ -228,13 +229,14 @@ def test_refused_resume_in_place_keeps_the_config_echo(tmp_path, capsys):
 def test_resume_opens_the_snapshot_once(paused_run, tmp_path, monkeypatch):
     root, base, _ = paused_run
     snapshot = root / "head" / "checkpoint.npz"
-    opened, np_load = [], np.load
+    opened, zip_file = [], zipfile.ZipFile
 
-    def counting_load(file, *args, **kwargs):
-        opened.append(file)
-        return np_load(file, *args, **kwargs)
+    def counting_zip_file(file, mode="r", *args, **kwargs):
+        if mode == "r":
+            opened.append(file)
+        return zip_file(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(np, "load", counting_load)
+    monkeypatch.setattr(zipfile, "ZipFile", counting_zip_file)
     assert main(["train", "--out", str(tmp_path / "tail"), *base, "--resume", str(snapshot)]) == 0
     assert opened == [snapshot]
 
@@ -648,3 +650,53 @@ def test_resume_at_the_stop_still_writes_its_snapshot(tmp_path, caplog):
                      "--resume", str(tmp_path / "done" / "checkpoint.npz")]) == 0
     assert _snapshot_steps(caplog) == [120]
     assert _snapshot_step(out / "checkpoint.npz") == 120
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("step", 1.5, "checkpoint trainer_state.step: float, expected int"),
+    ("events", "x", "checkpoint trainer_state.events: str, expected list"),
+    ("episode_reward_sum", "0.5", "checkpoint trainer_state.episode_reward_sum: str, expected float"),
+])
+def test_trainer_state_value_of_another_json_kind_is_refused_before_reading(
+        paused_run, tmp_path, capsys, monkeypatch, key, value, message):
+    # Trainer.load_state_dict would coerce each of these: 1.5 to step 1,
+    # "x" to events ["x"] and "0.5" to 0.5.
+    root, base, _ = paused_run
+    with np.load(root / "head" / "checkpoint.npz", allow_pickle=False) as data:
+        members = {k: data[k] for k in data.files}
+    meta = json.loads(str(members["meta"]))
+    meta["trainer_state"][key] = value
+    members["meta"] = json.dumps(meta)
+    np.savez(tmp_path / "checkpoint.npz", **members)
+
+    def no_member_read(*args):
+        raise AssertionError("a checkpoint member was read")
+
+    monkeypatch.setattr(checkpoint, "_read_into", no_member_read)
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "tail"), *base,
+               "--resume", str(tmp_path / "checkpoint.npz")])
+    assert rc == 2
+    assert _error_record(capsys) == {"error": "configuration", "message": message}
+    assert not (tmp_path / "tail").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["x"], "checkpoint extra: list, expected a dict"),
+    ({"sec": "x"}, "checkpoint extra.sec: 'x', expected positive numbers"),
+    ({"sec": {"t_i": "a", "t_aw": 0.66}}, "checkpoint extra.sec: {'t_i': 'a', 't_aw': 0.66}"),
+    ({"sec": {"t_i": 0.31, "t_aw": 0}}, "checkpoint extra.sec: {'t_i': 0.31, 't_aw': 0}"),
+    ({"env_kind": "mars"}, "checkpoint extra.env_kind: 'mars', expected one of grid, motor"),
+])
+def test_eval_refuses_a_malformed_agent_extra_before_writing(
+        paused_run, tmp_path, capsys, extra, message):
+    root, _, case_path = paused_run
+    agent, _ = load_agent(root / "head" / "agent.npz")
+    save_agent(tmp_path / "agent.npz", agent, extra=extra)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(tmp_path / "agent.npz"), "--testcase", str(case_path),
+               "--override", "env.kind=motor", "--out", str(tmp_path / "evalout")])
+    assert rc == 2
+    record = _error_record(capsys)
+    assert record["error"] == "configuration" and message in record["message"]
+    assert not (tmp_path / "evalout").exists()
