@@ -22,6 +22,7 @@ import json
 import os
 import struct
 import tokenize
+import warnings
 import zipfile
 import zlib
 from pathlib import Path
@@ -143,10 +144,14 @@ def _member(zf: zipfile.ZipFile, key: str):
 
 def _parse_header(key: str, header: bytes) -> tuple:
     """``(shape, fortran_order, dtype)`` of an npy 1.0 header; one numpy
-    cannot parse raises ConfigurationError naming ``key``."""
+    cannot parse, or parses only with a warning (such as its Python 2
+    header fallback, which no writer here needs), raises
+    ConfigurationError naming ``key``."""
     try:
-        return np.lib.format.read_array_header_1_0(io.BytesIO(header[len(_NPY_MAGIC):]))
-    except (ValueError, SyntaxError, tokenize.TokenError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.lib.format.read_array_header_1_0(io.BytesIO(header[len(_NPY_MAGIC):]))
+    except (ValueError, SyntaxError, tokenize.TokenError, Warning) as exc:
         raise ConfigurationError(f"checkpoint member {key}: {exc}") from exc
 
 
@@ -172,7 +177,9 @@ def _fill(key: str, info: zipfile.ZipInfo, header: bytes, source, out: np.ndarra
 def _read_into(data: zipfile.ZipFile, key: str, out: np.ndarray) -> None:
     """Read npz member ``key`` straight into the view ``out``.  A header
     other than the one numpy writes for ``out`` is parsed, so other padding
-    loads; a member of another shape or dtype raises ConfigurationError."""
+    loads; a member of another shape or dtype raises ConfigurationError.
+    Members are read one by one into live vectors: a member refused midway
+    through a load leaves the members read before it written."""
     with _member(data, key) as (info, header, source):
         if header != _npy_header(out.shape, out.dtype):
             shape, fortran_order, dtype = _parse_header(key, header)
@@ -275,11 +282,11 @@ def _describe(network: dict) -> str:
             f"{network['output_activation']} output")
 
 
-def _unpack_agent(meta: dict, data, agent: DdpgAgent) -> None:
-    """Read the stored networks and optimizer states into ``agent``'s own.
-    A stored network layout, hidden slope or output activation, or an
-    optimizer kind, other than the agent's raises ConfigurationError before
-    any member is read, so a refused load leaves ``agent`` as it was."""
+def _load_members(meta: dict, data, agent: DdpgAgent, members) -> None:
+    """Read ``members``, the writer's ``(member name, view)`` list, then check
+    ``agent``'s networks and set its optimizer scalars.  A stored network
+    layout, hidden slope or output activation, or an optimizer kind, other
+    than the agent's raises ConfigurationError before any member is read."""
     live = _agent_meta(agent)
     for name, prefix in _NETWORKS:
         stored = {k: meta[name][k] for k in _NETWORK_FIELDS}
@@ -290,7 +297,7 @@ def _unpack_agent(meta: dict, data, agent: DdpgAgent) -> None:
         if meta[name]["kind"] != live[name]["kind"]:
             raise ConfigurationError(f"checkpoint optimizer {prefix}: {meta[name]['kind']}, "
                                      f"expected {type(getattr(agent, name)).__name__}")
-    for key, view in _agent_members(agent):
+    for key, view in members:
         _read_into(data, key, view)
     for name, _ in _NETWORKS:
         getattr(agent, name).validate()
@@ -311,22 +318,29 @@ def load_agent(path: str | Path) -> tuple[DdpgAgent, dict]:
     with _reading(path, "agent") as (meta, data):
         # The seed is arbitrary: the stored parameters overwrite the init.
         agent = DdpgAgent(AgentConfig(**meta["agent_config"]), np.random.default_rng(0))
-        _unpack_agent(meta, data, agent)
+        _load_members(meta, data, agent, _agent_members(agent))
         return agent, meta["extra"]
 
 
 # -- full training snapshots ------------------------------------------------
 
+def _snapshot_members(trainer, count: int):
+    """``(member name, view)`` of every array of a snapshot, in file order:
+    the first ``count`` rows of each ring column (``buf_obs``, ...), then
+    ``_agent_members``; a count the ring cannot hold raises ConfigurationError."""
+    for key, view in trainer.buffer.rows(count).items():
+        yield f"buf_{key}", view
+    yield from _agent_members(trainer.agent)
+
+
 def save_trainer(path: str | Path, trainer, config_echo: dict | None = None) -> None:
     state = trainer.state_dict()
     buffer = state.pop("buffer")
-    arrays = {f"buf_{k}": v for k, v in buffer.items() if isinstance(v, np.ndarray)}
-    arrays.update(_agent_members(trainer.agent))
     meta = _agent_meta(trainer.agent)
     meta["trainer_state"] = state
     meta["buffer_scalars"] = {"cursor": buffer["cursor"], "count": buffer["count"]}
     meta["config_echo"] = config_echo or {}
-    _write_npz(path, meta, arrays)
+    _write_npz(path, meta, dict(_snapshot_members(trainer, buffer["count"])))
 
 
 def _check_config(path, stored: dict, current: dict) -> None:
@@ -376,28 +390,20 @@ def _check_layout(stored, live, where: str = "trainer_state") -> None:
             f"checkpoint {where}: {_json_kind(stored)}, expected {_json_kind(live)}")
 
 
-def _unpack_buffer(scalars: dict, data, buffer) -> None:
-    """Read the stored replay rows straight into ``buffer``'s ring and
-    restore its position; a member of another shape, an impossible count
-    or cursor, or a non-finite row raises ConfigurationError."""
-    count = scalars["count"]
-    for key, view in buffer.rows(count).items():
-        _read_into(data, f"buf_{key}", view)
-    buffer.restore(count, scalars["cursor"])
-
-
 def load_trainer_into(path: str | Path, trainer, config_echo: dict | None = None) -> None:
     """Restore a snapshot into a Trainer built from the identical config,
     reading it straight into the trainer's networks, moments and ring.
     Before any member is read, a stored config other than ``config_echo``
-    (when given) and a stored trainer state of another layout than
-    ``trainer``'s raise ConfigurationError."""
+    (when given), a stored trainer state of another layout than
+    ``trainer``'s and a replay count the ring cannot hold raise
+    ConfigurationError."""
     with _reading(path, "trainer") as (meta, data):
         if config_echo is not None:
             _check_config(path, meta["config_echo"], config_echo)
         live = trainer.state_dict()
         del live["buffer"]
         _check_layout(meta["trainer_state"], live)
-        _unpack_agent(meta, data, trainer.agent)
-        _unpack_buffer(meta["buffer_scalars"], data, trainer.buffer)
+        ring = meta["buffer_scalars"]
+        _load_members(meta, data, trainer.agent, _snapshot_members(trainer, ring["count"]))
+        trainer.buffer.restore(ring["count"], ring["cursor"])
         trainer.load_state_dict(meta["trainer_state"])

@@ -60,12 +60,12 @@ def _load_config(args) -> tuple[RunConfig, int, Path]:
 
 def cmd_train(args) -> int:
     keep_freed_memory()
-    cfg, seed, out_dir = _load_config(args)
+    cfg, _, out_dir = _load_config(args)
     variant = cfg["agent.variant"]
     if variant not in RL_VARIANTS:
         raise ConfigurationError(
             f"agent.variant must be {' or '.join(RL_VARIANTS)} for train, got {variant!r}")
-    trainer = build_trainer(cfg, variant, seed)
+    trainer = build_trainer(cfg)
     if args.resume is not None:
         # Only the output directory may differ from the snapshot's config.
         load_trainer_into(args.resume, trainer, config_echo=json.loads(cfg.to_json()))
@@ -75,17 +75,17 @@ def cmd_train(args) -> int:
     cfg.echo(out_dir / "effective_config.yaml")
     start = trainer.step
     try:
-        result = train_agent(trainer, cfg, variant, out_dir, until_step=args.until_step)
+        result = train_agent(trainer, cfg, until_step=args.until_step)
     except KeyboardInterrupt:
         # Safe interruption: freeze the full training state for --resume.
-        write_checkpoint(trainer, cfg, out_dir)
+        write_checkpoint(trainer, cfg)
         print(json.dumps({"interrupted_at_step": trainer.step,
                           "resume_from": str(out_dir / "checkpoint.npz")}), file=sys.stderr)
         return 130
     # A stop on the checkpoint cadence that this call reached was just written.
     every = cfg["train.checkpoint_every"]
     if trainer.step == start or not every or trainer.step % every:
-        write_checkpoint(trainer, cfg, out_dir)
+        write_checkpoint(trainer, cfg)
     print(f"trained {variant} for {trainer.step} steps "
           f"({len(result.curve)} episodes); artifacts in {out_dir}")
     return 0

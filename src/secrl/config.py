@@ -25,7 +25,7 @@ from .ddpg.agent import AgentConfig
 from .ddpg.train import TrainSettings
 from .envs.grid import GridParams
 from .envs.motor import MotorParams
-from .evaluation.metrics import STEADY_STATE_SKIP, require_steady_state_window
+from .evaluation.metrics import require_steady_state_window
 from .nn.optim import OPTIMIZERS
 from .sec import SecRewardConfig
 
@@ -326,8 +326,7 @@ def parse_config(
     _validate_ranges(values)
     # Not liftable by allow_out_of_range: scoring would fail after training,
     # and each (variant, seed) run owns one run directory and its report rows.
-    if values["env.kind"] in STEADY_STATE_SKIP:
-        require_steady_state_window(values["env.kind"], values["experiment.segment_length"])
+    require_steady_state_window(values["env.kind"], values["experiment.segment_length"])
     for key in ("experiment.variants", "experiment.seeds"):
         if not values[key] or len(set(values[key])) < len(values[key]):
             raise ConfigurationError(f"{key} must be a non-empty list without repeats, "

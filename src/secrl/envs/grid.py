@@ -361,7 +361,6 @@ class GridEnv(PlantEnv):
         }
 
     def load_state_dict(self, s: dict) -> None:
-        # Snapshots of earlier versions also hold an unused "rng_env"; it is ignored.
         super().load_state_dict(s)
         self._load.load_state_dict(s["load"])
         self._rng_load.bit_generator.state = s["rng_load"]

@@ -228,24 +228,24 @@ def eval_seed_for(case: TestCase, run_seed: int) -> int:
     return 1_000_003 * case.seed + run_seed
 
 
-def build_trainer(cfg: RunConfig, variant: str, seed: int) -> Trainer:
-    """A fresh trainer for one agent variant."""
-    wrapped = build_training_env(cfg, variant, seed)
+def build_trainer(cfg: RunConfig) -> Trainer:
+    """A fresh trainer for the run of `cfg`: its ``agent.variant`` and ``seed``."""
+    wrapped = build_training_env(cfg, cfg["agent.variant"], cfg["seed"])
     # The wrapper's action width is the actor's: m plant channels, or 2m with SEC.
     return Trainer(wrapped, cfg.agent_config(wrapped.obs_dim, wrapped.action_dim),
-                   cfg.train_settings(), seed)
+                   cfg.train_settings(), cfg["seed"])
 
 
-def write_checkpoint(trainer: Trainer, cfg: RunConfig, out_dir: Path) -> None:
-    """The resumable snapshot ``<out_dir>/checkpoint.npz``, with the config
-    echo that ``--resume`` checks."""
-    save_trainer(out_dir / "checkpoint.npz", trainer, config_echo=json.loads(cfg.to_json()))
+def write_checkpoint(trainer: Trainer, cfg: RunConfig) -> None:
+    """The resumable snapshot ``checkpoint.npz`` in the run's ``out_dir``,
+    with the config echo that ``--resume`` checks."""
+    save_trainer(Path(cfg["out_dir"]) / "checkpoint.npz", trainer,
+                 config_echo=json.loads(cfg.to_json()))
     log.info("checkpoint written at step %d", trainer.step)
 
 
-def train_agent(trainer: Trainer, cfg: RunConfig, variant: str, out_dir: Path,
-                until_step: int | None = None) -> TrainResult:
-    """Run `trainer` and write the run's artifacts to `out_dir`:
+def train_agent(trainer: Trainer, cfg: RunConfig, until_step: int | None = None) -> TrainResult:
+    """Run `trainer` and write the run's artifacts to its ``out_dir``:
     ``agent.npz``, ``learning_curve.csv`` and ``events.json``.  A run that
     raises (a fault or an interrupt) still leaves its ``events.json``.
 
@@ -253,6 +253,7 @@ def train_agent(trainer: Trainer, cfg: RunConfig, variant: str, out_dir: Path,
     line, and at every multiple of ``train.checkpoint_every`` it writes
     ``checkpoint.npz`` (``write_checkpoint``); the trainer runs from one
     such step to the next, which leaves its results unchanged."""
+    out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     total = trainer.settings.total_steps
     stop_at = total if until_step is None else until_step
@@ -272,12 +273,12 @@ def train_agent(trainer: Trainer, cfg: RunConfig, variant: str, out_dir: Path,
                 log.info("step %d/%d, episodes %d, last episode mean reward %.5f",
                          step, total, trainer.episode, recent)
             if checkpoint_every and step % checkpoint_every == 0:
-                write_checkpoint(trainer, cfg, out_dir)
+                write_checkpoint(trainer, cfg)
     finally:
         with atomic_write(out_dir / "events.json", text=True) as fh:
             fh.write(json.dumps(trainer.events, indent=1))
     save_agent(out_dir / "agent.npz", result.agent, extra={
-        "variant": variant, "seed": trainer.seed, "env_kind": cfg["env.kind"],
+        "variant": cfg["agent.variant"], "seed": trainer.seed, "env_kind": cfg["env.kind"],
         "sec": {"t_i": cfg["sec.t_i"], "t_aw": cfg["sec.t_aw"]},
     })
     write_learning_curve(out_dir / "learning_curve.csv", result.curve)
@@ -310,15 +311,16 @@ def evaluate_policy(cfg: RunConfig, policy, cases: list[TestCase], run_seed: int
     return rows
 
 
-def _run_one(cfg: RunConfig, variant: str, seed: int, run_dir: Path, cases: list[TestCase],
-             pi_gains: CascadeGains | None, save_traj: bool) -> dict:
-    """One (variant, seed) run; importable top-level so it can be a worker."""
+def _run_one(cfg: RunConfig, cases: list[TestCase], pi_gains: CascadeGains | None) -> dict:
+    """The run of `cfg`: its ``agent.variant`` and ``seed``, into its
+    ``out_dir``; importable top-level so it can be a worker."""
+    variant, seed = cfg["agent.variant"], cfg["seed"]
     record: dict = {"variant": variant, "seed": seed}
     try:
         if variant in RL_VARIANTS:
-            trainer = build_trainer(cfg, variant, seed)
+            trainer = build_trainer(cfg)
             t_train = time.perf_counter()
-            result = train_agent(trainer, cfg, variant, run_dir)
+            result = train_agent(trainer, cfg)
             record["train_seconds"] = time.perf_counter() - t_train
             policy = AgentPolicy(result.agent.actor, m=trainer.env.m,
                                  t_i=cfg["sec.t_i"], t_aw=cfg["sec.t_aw"])
@@ -326,8 +328,8 @@ def _run_one(cfg: RunConfig, variant: str, seed: int, run_dir: Path, cases: list
             policy = ControllerPolicy(_plant(cfg["env.kind"]).pi(cfg, pi_gains))
         else:
             raise ConfigurationError(f"unknown variant {variant!r}")
-        record["rows"] = evaluate_policy(cfg, policy, cases, run_seed=seed,
-                                         trajectory_dir=run_dir if save_traj else None)
+        traj_dir = Path(cfg["out_dir"]) if cfg["experiment.save_trajectories"] else None
+        record["rows"] = evaluate_policy(cfg, policy, cases, run_seed=seed, trajectory_dir=traj_dir)
         record["status"] = "ok"
     except Exception as exc:  # individual run failures must not kill the batch
         record["status"] = "failed"
@@ -358,10 +360,11 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> dict:
             fh.write(json.dumps({"best": pi_gains.as_dict(), "best_score": tune_report["best_score"],
                                  "trials": len(tune_report["trials"])}, indent=1))
 
-    # Seed-major order: interrupting a long batch still leaves balanced
-    # variant coverage for every completed seed.
-    jobs = [(cfg, variant, seed, out_dir / f"{variant}-seed{seed}", cases, pi_gains,
-             cfg["experiment.save_trajectories"])
+    # One config per run, as `secrl train` would parse it for that variant
+    # and seed.  Seed-major order: interrupting a long batch still leaves
+    # balanced variant coverage for every completed seed.
+    jobs = [(RunConfig({**cfg.values, "agent.variant": variant, "seed": seed,
+                        "out_dir": str(out_dir / f"{variant}-seed{seed}")}), cases, pi_gains)
             for seed in cfg["experiment.seeds"] for variant in cfg["experiment.variants"]]
     records = []
     for record in _finished_runs(jobs, cfg["experiment.workers"]):
@@ -376,7 +379,7 @@ def _finished_runs(jobs: list[tuple], workers: int):
     when serial, in completion order across `workers` processes."""
     if workers == 1:
         for job in jobs:
-            log.info("running %s seed %d", job[1], job[2])
+            log.info("running %s seed %d", job[0]["agent.variant"], job[0]["seed"])
             yield _run_one(*job)
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_memory) as pool:

@@ -21,8 +21,9 @@ from secrl.checkpoint import load_agent, load_trainer_into, save_agent, save_tra
 from secrl.cli import main
 from secrl.evaluation.testcases import TestCase, gen_steadystate_testcase
 
-# numpy warns about some of the header texts that the flips make.
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning", "ignore::DeprecationWarning")
+# numpy warns about some of the header texts that the flips make; the
+# reader turns each such warning into the member's ConfigurationError.
+pytestmark = pytest.mark.filterwarnings("error::UserWarning", "error::DeprecationWarning")
 
 SAMPLED = 150  # flips drawn from the meta text, header padding and array data
 # Linear networks: each member's zip and npy structure is flipped through, so

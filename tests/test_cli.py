@@ -15,6 +15,7 @@ from secrl import TrainingFault, checkpoint
 from secrl.checkpoint import load_agent, save_agent
 from secrl.cli import main
 from secrl.config import parse_config, parse_override_strings
+from secrl.evaluation import experiment
 from secrl.evaluation.experiment import PLANTS, make_testcase
 from secrl.evaluation.testcases import TestCase, gen_steadystate_testcase
 
@@ -369,6 +370,69 @@ def test_compare_run_equals_train_run(tmp_path, variant):
         assert (run_dir / name).read_bytes() == (train_dir / name).read_bytes()
 
 
+# A tiny motor compare of one variant and seed with snapshots every 40 steps,
+# and the same config for `secrl train`.
+CMP_CONFIG = ["--override", "env.kind=motor", *FAST_TRAIN,
+              "--override", "train.checkpoint_every=40",
+              "--override", "experiment.motor_profile_steps=1000",
+              "--override", "experiment.segments=2"]
+
+
+def _compare_config(variant, seed) -> list[str]:
+    return [*CMP_CONFIG, "--override", f"experiment.variants={variant}",
+            "--override", f"experiment.seeds={seed}"]
+
+
+def _npz_members(path) -> dict:
+    """The raw bytes of each member, meta decoded and without its ``out_dir``."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    with np.load(path) as data:
+        meta = json.loads(str(data["meta"]))
+    meta.get("config_echo", {}).get("values", {}).pop("out_dir", None)
+    members["meta.npy"] = meta
+    return members
+
+
+@pytest.mark.parametrize("variant", ["ddpg", "sec-ddpg"])
+def test_compare_run_snapshot_equals_the_train_snapshot(tmp_path, variant):
+    # Each compare run carries its own config: its variant, seed and run
+    # directory, so its snapshot is the one `secrl train` writes.
+    config = _compare_config(variant, 4)
+    assert main(["compare", "--out", str(tmp_path / "cmp"), *config]) == 0
+    assert main(["train", "--out", str(tmp_path / "train"), *config, "--seed", "4",
+                 "--override", f"agent.variant={variant}"]) == 0
+    run = _npz_members(tmp_path / "cmp" / f"{variant}-seed4" / "checkpoint.npz")
+    assert run == _npz_members(tmp_path / "train" / "checkpoint.npz")
+    assert (run["meta.npy"]["config_echo"]["values"]["seed"],
+            run["meta.npy"]["config_echo"]["values"]["agent.variant"]) == (4, variant)
+
+
+def test_failed_compare_run_resumes_with_secrl_train(tmp_path, monkeypatch):
+    # A compare run that fails after its first snapshot resumes under
+    # `secrl train` with the compare's config, seed and variant.
+    write_checkpoint = experiment.write_checkpoint
+
+    def failing_after_snapshot(*args):
+        write_checkpoint(*args)
+        raise TrainingFault("injected fault after the snapshot")
+
+    monkeypatch.setattr(experiment, "write_checkpoint", failing_after_snapshot)
+    config = _compare_config("ddpg", 3)
+    assert main(["compare", "--out", str(tmp_path / "cmp"), *config]) == 1
+    summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
+    assert summary["runs"] == [{"variant": "ddpg", "seed": 3, "status": "failed",
+                                "error": "TrainingFault: injected fault after the snapshot"}]
+    monkeypatch.undo()
+    run = ["train", *config, "--seed", "3", "--override", "agent.variant=ddpg"]
+    snapshot = tmp_path / "cmp" / "ddpg-seed3" / "checkpoint.npz"
+    assert _snapshot_step(snapshot) == 40
+    assert main([*run, "--resume", str(snapshot), "--out", str(tmp_path / "tail")]) == 0
+    assert main([*run, "--out", str(tmp_path / "full")]) == 0
+    assert _npz_members(tmp_path / "tail" / "agent.npz") == \
+        _npz_members(tmp_path / "full" / "agent.npz")
+
+
 @pytest.mark.parametrize("plant", ["grid", "motor"])
 def test_gen_testcase_equals_compare_cases(tmp_path, capsys, plant):
     pairs = [f"env.kind={plant}", "experiment.testcase_seed=31", "experiment.segments=3",
@@ -700,3 +764,48 @@ def test_eval_refuses_a_malformed_agent_extra_before_writing(
     record = _error_record(capsys)
     assert record["error"] == "configuration" and message in record["message"]
     assert not (tmp_path / "evalout").exists()
+
+
+def test_python2_header_fallback_gives_one_json_line(paused_run, tmp_path):
+    # numpy reads "(10L)" through its Python 2 header fallback, with a
+    # UserWarning, before it refuses the shape: stderr still holds the JSON
+    # record alone.
+    root, _, case_path = paused_run
+    blob = (root / "head" / "agent.npz").read_bytes()
+    at = blob.index(b"(10,)", blob.index(b"actor_b0.npy"))
+    (tmp_path / "agent.npz").write_bytes(blob[:at] + b"(10L)" + blob[at + 5:])
+    proc = subprocess.run(
+        [sys.executable, "-m", "secrl.cli", "eval", "--checkpoint", str(tmp_path / "agent.npz"),
+         "--testcase", str(case_path), "--override", "env.kind=motor",
+         "--out", str(tmp_path / "evalout")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    record = json.loads(lines[0])
+    assert record["error"] == "configuration"
+    assert record["message"].startswith("checkpoint member actor_b0: Reading `.npy` or `.npz`")
+    assert not (tmp_path / "evalout").exists()
+
+
+def test_grid_snapshot_with_the_old_env_stream_is_refused(tmp_path, capsys):
+    # Earlier grid snapshots also held an "rng_env" stream in the plant's
+    # state, which no step drew from; resuming one exits 2.
+    base = ["--override", "env.kind=grid", *FAST_TRAIN, "--seed", "5"]
+    assert main(["train", "--out", str(tmp_path / "head"), *base, "--until-step", "20"]) == 0
+    with np.load(tmp_path / "head" / "checkpoint.npz", allow_pickle=False) as data:
+        members = {k: data[k] for k in data.files}
+    meta = json.loads(str(members["meta"]))
+    plant = meta["trainer_state"]["inner_env"]
+    plant["rng_env"] = plant["rng_load"]
+    members["meta"] = json.dumps(meta)
+    np.savez(tmp_path / "checkpoint.npz", **members)
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "tail"), *base,
+               "--resume", str(tmp_path / "checkpoint.npz")])
+    assert rc == 2
+    assert _error_record(capsys) == {
+        "error": "configuration",
+        "message": "checkpoint trainer_state.inner_env: unexpected ['rng_env']"}
+    assert not (tmp_path / "tail").exists()

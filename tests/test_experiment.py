@@ -219,7 +219,8 @@ class TestCompareRunArtifacts:
         for variant in ("ddpg", "sec-ddpg"):
             run_dir = tmp_path / f"{variant}-seed2"
             assert (run_dir / "checkpoint.npz").is_file()
-            trainer = experiment.build_trainer(cfg, variant, 2)
+            trainer = experiment.build_trainer(
+                parse_config(None, {**cfg.values, "agent.variant": variant, "seed": 2}))
             load_trainer_into(run_dir / "checkpoint.npz", trainer)
             assert trainer.step == 120
             agent, _ = load_agent(run_dir / "agent.npz")
@@ -274,9 +275,9 @@ class TestTrainCadences:
     @pytest.mark.parametrize("variant", ["ddpg", "sec-ddpg"])
     def test_cadences_leave_the_run_artifacts_unchanged(self, tmp_path, variant):
         for name, cadences in (("plain", {}), ("cadenced", self.CADENCES)):
-            cfg = motor_cfg(**self.TRAIN, **cadences)
-            experiment.train_agent(experiment.build_trainer(cfg, variant, 3), cfg, variant,
-                                   tmp_path / name)
+            cfg = motor_cfg(**self.TRAIN, **cadences, **{
+                "agent.variant": variant, "seed": 3, "out_dir": str(tmp_path / name)})
+            experiment.train_agent(experiment.build_trainer(cfg), cfg)
         plain, cadenced = tmp_path / "plain", tmp_path / "cadenced"
         assert (cadenced / "checkpoint.npz").is_file()
         assert not (plain / "checkpoint.npz").exists()
@@ -289,12 +290,13 @@ class TestTrainCadences:
             assert (plain / name).read_bytes() == (cadenced / name).read_bytes()
 
     def test_progress_and_snapshots_fall_on_their_multiples(self, tmp_path, caplog):
-        cfg = motor_cfg(**self.TRAIN, **self.CADENCES)
-        trainer = experiment.build_trainer(cfg, "sec-ddpg", 3)
+        cfg = motor_cfg(**self.TRAIN, **self.CADENCES, **{
+            "agent.variant": "sec-ddpg", "seed": 3, "out_dir": str(tmp_path)})
+        trainer = experiment.build_trainer(cfg)
         with caplog.at_level(logging.INFO, logger=experiment.__name__):
             # A pause on a progress multiple, then the rest of the run.
-            experiment.train_agent(trainer, cfg, "sec-ddpg", tmp_path, until_step=50)
-            experiment.train_agent(trainer, cfg, "sec-ddpg", tmp_path)
+            experiment.train_agent(trainer, cfg, until_step=50)
+            experiment.train_agent(trainer, cfg)
         messages = [r.getMessage() for r in caplog.records if r.name == experiment.__name__]
         progress = [int(m[1]) for m in map(re.compile(r"step (\d+)/120, ").match, messages) if m]
         snapshots = [int(m[1]) for m in map(re.compile(r"checkpoint written at step (\d+)$").match,
@@ -346,10 +348,10 @@ def _disk_full_after(nbytes):
 
 
 def _write_events(path, n):
-    cfg = motor_cfg()
-    trainer = experiment.build_trainer(cfg, "ddpg", 1)
+    cfg = motor_cfg(**{"agent.variant": "ddpg", "seed": 1, "out_dir": str(path.parent)})
+    trainer = experiment.build_trainer(cfg)
     trainer.events = [{"step": k, "kind": "limit_violation", "episode": 0} for k in range(n)]
-    experiment.train_agent(trainer, cfg, "ddpg", path.parent)
+    experiment.train_agent(trainer, cfg)
 
 
 def _write_trajectory(path, n):
