@@ -42,6 +42,10 @@ _NPY_MAGIC = b"\x93NUMPY\x01\x00"
 READ_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error)
 
 
+class _MemberError(ConfigurationError):
+    """A damaged npz member; ``_reading`` names the kind of file it is in."""
+
+
 def _encode(obj):
     """json's ``default``: numpy values as json can store them; arrays keep
     their dtype (decoded by ``_decode``)."""
@@ -123,22 +127,21 @@ def _member(zf: zipfile.ZipFile, key: str):
     ``key``; so ``zf.open`` meets only entries it reads."""
     info = zf.getinfo(f"{key}.npy")
     if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED) or info.flag_bits:
-        raise ConfigurationError(f"checkpoint member {key}: zip method {info.compress_type} "
-                                 f"with flags {info.flag_bits:#x} is not stored or deflated")
+        raise _MemberError(f"member {key}: zip method {info.compress_type} "
+                           f"with flags {info.flag_bits:#x} is not stored or deflated")
     zf.fp.seek(info.header_offset)
     # A short local header, padded, then fails the name check.
     local = zf.fp.read(_LOCAL_HEADER.size).ljust(_LOCAL_HEADER.size, b"\0")
     signature, flags, method, name_len, extra_len = _LOCAL_HEADER.unpack(local)
     if ((signature, flags, method) != (b"PK\x03\x04", 0, info.compress_type)
             or zf.fp.read(name_len) != info.orig_filename.encode()):
-        raise ConfigurationError(f"checkpoint member {key}: local header disagrees with "
-                                 "the zip directory")
+        raise _MemberError(f"member {key}: local header disagrees with the zip directory")
     zf.fp.seek(extra_len, os.SEEK_CUR)
     stored = info.compress_type == zipfile.ZIP_STORED
     with contextlib.nullcontext(zf.fp) if stored else zf.open(info) as source:
         start = source.read(len(_NPY_MAGIC) + 2)
         if len(start) != len(_NPY_MAGIC) + 2 or not start.startswith(_NPY_MAGIC):
-            raise ConfigurationError(f"checkpoint member {key}: not an npy 1.0 array")
+            raise _MemberError(f"member {key}: not an npy 1.0 array")
         yield info, start + source.read(int.from_bytes(start[-2:], "little")), source
 
 
@@ -152,7 +155,7 @@ def _parse_header(key: str, header: bytes) -> tuple:
             warnings.simplefilter("error")
             return np.lib.format.read_array_header_1_0(io.BytesIO(header[len(_NPY_MAGIC):]))
     except (ValueError, SyntaxError, tokenize.TokenError, Warning) as exc:
-        raise ConfigurationError(f"checkpoint member {key}: {exc}") from exc
+        raise _MemberError(f"member {key}: {exc}") from exc
 
 
 def _fill(key: str, info: zipfile.ZipInfo, header: bytes, source, out: np.ndarray) -> None:
@@ -163,15 +166,15 @@ def _fill(key: str, info: zipfile.ZipInfo, header: bytes, source, out: np.ndarra
     ConfigurationError."""
     size = len(header) + out.nbytes
     if info.file_size != size:
-        raise ConfigurationError(
-            f"checkpoint member {key} is truncated" if info.file_size < size
-            else f"checkpoint member {key} is longer than its header says")
+        raise _MemberError(
+            f"member {key} is truncated" if info.file_size < size
+            else f"member {key} is longer than its header says")
     dest = _bytes_of(out)
     if source.readinto(dest) != out.nbytes:
-        raise ConfigurationError(f"checkpoint member {key} is truncated")
+        raise _MemberError(f"member {key} is truncated")
     if (info.compress_type == zipfile.ZIP_STORED
             and zlib.crc32(dest, zlib.crc32(header)) != info.CRC):
-        raise ConfigurationError(f"checkpoint member {key} fails its CRC check")
+        raise _MemberError(f"member {key} fails its CRC check")
 
 
 def _read_into(data: zipfile.ZipFile, key: str, out: np.ndarray) -> None:
@@ -184,8 +187,8 @@ def _read_into(data: zipfile.ZipFile, key: str, out: np.ndarray) -> None:
         if header != _npy_header(out.shape, out.dtype):
             shape, fortran_order, dtype = _parse_header(key, header)
             if (shape, fortran_order, dtype) != (out.shape, False, out.dtype):
-                raise ConfigurationError(
-                    f"checkpoint member {key}: {dtype}{shape}, expected {out.dtype}{out.shape}")
+                raise _MemberError(f"member {key}: {dtype}{shape}, expected "
+                                   f"{out.dtype}{out.shape}")
         _fill(key, info, header, source, out)
 
 
@@ -194,8 +197,8 @@ def _read_meta(zf: zipfile.ZipFile) -> str:
     with _member(zf, "meta") as (info, header, source):
         shape, _, dtype = _parse_header("meta", header)
         if shape != () or dtype.kind != "U" or info.file_size != len(header) + dtype.itemsize:
-            raise ConfigurationError(f"checkpoint member meta: {dtype}{shape} in "
-                                     f"{info.file_size} bytes, expected one text")
+            raise _MemberError(f"member meta: {dtype}{shape} in "
+                               f"{info.file_size} bytes, expected one text")
         meta = np.empty((), dtype)
         _fill("meta", info, header, source, meta)
     return str(meta)
@@ -218,7 +221,8 @@ def _reading(path: str | Path, kind: str):
     ``"test case"``.  A damaged or foreign file, a missing member or a meta
     field of the wrong kind (also one looked up inside the ``with`` block)
     raises ConfigurationError.  A ConfigurationError raised inside a
-    checkpoint's block passes as is; a test case reports it as unreadable."""
+    checkpoint's block passes as is, a damaged member's as "checkpoint
+    member ..."; a test case reports either as unreadable."""
     noun = kind if kind == "test case" else "checkpoint"
     try:
         with _zip_file(path) as zf:
@@ -228,6 +232,8 @@ def _reading(path: str | Path, kind: str):
                 raise ConfigurationError(f"unsupported {kind} checkpoint version {version}")
             yield meta, zf
     except READ_ERRORS as exc:
+        if noun == "checkpoint" and isinstance(exc, _MemberError):
+            raise ConfigurationError(f"checkpoint {exc}") from exc
         if noun == "checkpoint" and isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"cannot read {noun} {path}: {exc}") from exc

@@ -27,7 +27,6 @@ from .evaluation.experiment import (
     make_testcase,
     run_experiment,
     train_agent,
-    write_checkpoint,
     write_report,
 )
 from .evaluation.metrics import require_steady_state_window
@@ -70,22 +69,13 @@ def cmd_train(args) -> int:
         # Only the output directory may differ from the snapshot's config.
         load_trainer_into(args.resume, trainer, config_echo=json.loads(cfg.to_json()))
         log.info("resumed from %s at step %d", args.resume, trainer.step)
-    # Echoed once the resume is accepted: a refused one leaves --out untouched.
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.echo(out_dir / "effective_config.yaml")
-    start = trainer.step
+    until_step = cfg["train.steps"] if args.until_step is None else args.until_step
     try:
-        result = train_agent(trainer, cfg, until_step=args.until_step)
+        result = train_agent(trainer, cfg, until_step=until_step)
     except KeyboardInterrupt:
-        # Safe interruption: freeze the full training state for --resume.
-        write_checkpoint(trainer, cfg)
         print(json.dumps({"interrupted_at_step": trainer.step,
                           "resume_from": str(out_dir / "checkpoint.npz")}), file=sys.stderr)
         return 130
-    # A stop on the checkpoint cadence that this call reached was just written.
-    every = cfg["train.checkpoint_every"]
-    if trainer.step == start or not every or trainer.step % every:
-        write_checkpoint(trainer, cfg)
     print(f"trained {variant} for {trainer.step} steps "
           f"({len(result.curve)} episodes); artifacts in {out_dir}")
     return 0
@@ -146,7 +136,14 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     keep_freed_memory()
     cfg, _, out_dir = _load_config(args)
-    summary = run_experiment(cfg, out_dir)
+    try:
+        summary = run_experiment(cfg, out_dir)
+    except KeyboardInterrupt as exc:
+        # The finished runs' reports stay; a training run in flight left its snapshot.
+        print(json.dumps({"interrupted": "compare",
+                          "finished_runs": getattr(exc, "finished_runs", 0),
+                          "out": str(out_dir)}), file=sys.stderr)
+        return 130
     ok = [r for r in summary["runs"] if r["status"] == "ok"]
     print(f"compare finished: {len(ok)}/{len(summary['runs'])} runs ok; "
           f"summary in {out_dir / 'summary.json'}")

@@ -66,6 +66,7 @@ class Trainer:
         self.episode_reward_sum = 0.0
         self.curve: list[EpisodeRecord] = []
         self.events: list[dict] = []
+        self.stop_requested = False
         self.obs = env.reset(seed=seed)
 
     def _finish_episode(self) -> None:
@@ -80,11 +81,13 @@ class Trainer:
     def run(self, until_step: int | None = None) -> TrainResult:
         """Train up to `until_step` (capped at `total_steps`).  A run cut
         into several calls is bit-identical to one call, so callers log
-        progress and write snapshots between calls."""
+        progress and write snapshots between calls.  Setting
+        `stop_requested` (a signal handler may) ends the call after the
+        step in progress."""
         cfg = self.agent.config
         s = self.settings
         stop_at = s.total_steps if until_step is None else min(until_step, s.total_steps)
-        while self.step < stop_at:
+        while self.step < stop_at and not self.stop_requested:
             a_det = self.agent.act(self.obs)
             nu = self.noise.step(self.rng_expl)
             a_raw = noisy_action(a_det, nu)

@@ -13,12 +13,14 @@ is a field of one entry in ``PLANTS``.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 import logging
 import platform
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -245,44 +247,77 @@ def write_checkpoint(trainer: Trainer, cfg: RunConfig) -> None:
 
 
 def train_agent(trainer: Trainer, cfg: RunConfig, until_step: int | None = None) -> TrainResult:
-    """Run `trainer` and write the run's artifacts to its ``out_dir``:
-    ``agent.npz``, ``learning_curve.csv`` and ``events.json``.  A run that
-    raises (a fault or an interrupt) still leaves its ``events.json``.
-
-    At every multiple of ``train.progress_every`` the run logs a progress
-    line, and at every multiple of ``train.checkpoint_every`` it writes
-    ``checkpoint.npz`` (``write_checkpoint``); the trainer runs from one
-    such step to the next, which leaves its results unchanged."""
+    """Run `trainer` and write every file of the run to its ``out_dir``:
+    ``effective_config.yaml``, ``agent.npz``, ``learning_curve.csv``,
+    ``events.json`` (also when the run raises), and ``checkpoint.npz``
+    (``write_checkpoint``) at every multiple of ``train.checkpoint_every``,
+    on an interrupt, and, given `until_step`, where the run stops.  A
+    caller resumes `trainer` before this call, so a refused resume leaves
+    ``out_dir`` untouched.  A progress line is logged at every multiple of
+    ``train.progress_every``; the trainer runs from one such step to the
+    next, which leaves its results unchanged."""
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.echo(out_dir / "effective_config.yaml")
     total = trainer.settings.total_steps
     stop_at = total if until_step is None else until_step
     progress_every, checkpoint_every = cfg["train.progress_every"], cfg["train.checkpoint_every"]
     cadences = [n for n in (progress_every, checkpoint_every) if n]
+    written = None  # the step of the last snapshot the cadence wrote
     try:
-        while True:
-            start = trainer.step
-            # Run to the next multiple of a cadence, or to the stop.
-            boundary = min([stop_at, *((start // n + 1) * n for n in cadences)])
-            result = trainer.run(until_step=boundary)
-            step = trainer.step
-            if step == start:
-                break
-            if progress_every and step % progress_every == 0:
-                recent = trainer.curve[-1].mean_reward if trainer.curve else float("nan")
-                log.info("step %d/%d, episodes %d, last episode mean reward %.5f",
-                         step, total, trainer.episode, recent)
-            if checkpoint_every and step % checkpoint_every == 0:
-                write_checkpoint(trainer, cfg)
+        with _interrupts_between_steps(trainer):
+            while True:
+                start = trainer.step
+                # Run to the next multiple of a cadence, or to the stop.
+                boundary = min([stop_at, *((start // n + 1) * n for n in cadences)])
+                result = trainer.run(until_step=boundary)
+                step = trainer.step
+                if step == start:
+                    break
+                if progress_every and step % progress_every == 0:
+                    recent = trainer.curve[-1].mean_reward if trainer.curve else float("nan")
+                    log.info("step %d/%d, episodes %d, last episode mean reward %.5f",
+                             step, total, trainer.episode, recent)
+                if checkpoint_every and step % checkpoint_every == 0:
+                    write_checkpoint(trainer, cfg)
+                    written = step
+    except KeyboardInterrupt:
+        write_checkpoint(trainer, cfg)  # the full training state, for --resume
+        raise
     finally:
         with atomic_write(out_dir / "events.json", text=True) as fh:
             fh.write(json.dumps(trainer.events, indent=1))
+    if until_step is not None and written != trainer.step:
+        write_checkpoint(trainer, cfg)
     save_agent(out_dir / "agent.npz", result.agent, extra={
         "variant": cfg["agent.variant"], "seed": trainer.seed, "env_kind": cfg["env.kind"],
         "sec": {"t_i": cfg["sec.t_i"], "t_aw": cfg["sec.t_aw"]},
     })
     write_learning_curve(out_dir / "learning_curve.csv", result.curve)
     return result
+
+
+@contextlib.contextmanager
+def _interrupts_between_steps(trainer: Trainer):
+    """Defer Ctrl-C (SIGINT) to the end of the trainer's current step, then
+    raise KeyboardInterrupt: a snapshot of that step resumes to the bytes
+    of an uninterrupted run, where one taken inside a step, its update
+    half done, would not.  A SIGINT that raises no KeyboardInterrupt (an
+    ignored one) is left as it is."""
+    def request_stop(signum, frame):
+        trainer.stop_requested = True
+
+    deferred = signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    if deferred:
+        signal.signal(signal.SIGINT, request_stop)
+    try:
+        yield
+    finally:
+        if deferred:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+        stopped, trainer.stop_requested = trainer.stop_requested, False
+    if stopped:
+        raise KeyboardInterrupt
 
 
 def write_learning_curve(path: Path, curve) -> None:
@@ -367,23 +402,37 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> dict:
                         "out_dir": str(out_dir / f"{variant}-seed{seed}")}), cases, pi_gains)
             for seed in cfg["experiment.seeds"] for variant in cfg["experiment.variants"]]
     records = []
-    for record in _finished_runs(jobs, cfg["experiment.workers"]):
-        records.append(record)
-        _write_reports(cfg, out_dir, records)  # refresh after every run
+    try:
+        for record in _finished_runs(jobs, cfg["experiment.workers"]):
+            records.append(record)
+            _write_reports(cfg, out_dir, records)  # refresh after every run
+    except KeyboardInterrupt as exc:
+        exc.finished_runs = len(records)
+        raise
     records.sort(key=lambda r: (r["variant"], r["seed"]))
     return _write_reports(cfg, out_dir, records)
 
 
 def _finished_runs(jobs: list[tuple], workers: int):
     """Yield each job's `_run_one` record as it finishes: in job order
-    when serial, in completion order across `workers` processes."""
+    when serial, in completion order across `workers` processes.  At most
+    `workers` runs are submitted at a time: the pool moves submitted calls
+    into its queue ahead of its workers, so after an interrupt, which
+    stops the batch, a longer queue would still start runs."""
     if workers == 1:
         for job in jobs:
             log.info("running %s seed %d", job[0]["agent.variant"], job[0]["seed"])
             yield _run_one(*job)
         return
+    running = set()
     with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_memory) as pool:
-        for future in as_completed([pool.submit(_run_one, *job) for job in jobs]):
+        for job in jobs:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    yield future.result()
+            running.add(pool.submit(_run_one, *job))
+        for future in as_completed(running):
             yield future.result()
 
 

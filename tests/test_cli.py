@@ -2,7 +2,9 @@
 
 import json
 import logging
+import multiprocessing
 import re
+import signal
 import subprocess
 import sys
 import zipfile
@@ -319,6 +321,8 @@ def test_unreadable_testcase_exits_with_configuration_error(
     err = _error_record(capsys)
     assert err["error"] == "configuration"
     assert f"cannot read test case {bad}" in err["message"]
+    # A test case's errors carry no checkpoint wording.
+    assert "checkpoint" not in err["message"].replace(str(bad), "")
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -347,27 +351,32 @@ def test_corrupt_agent_checkpoint_exits_with_configuration_error(
 
 @pytest.mark.parametrize("variant", ["ddpg", "sec-ddpg"])
 def test_compare_run_equals_train_run(tmp_path, variant):
-    common = ["--override", "env.kind=motor", *FAST_TRAIN]
-    assert main(["compare", "--out", str(tmp_path / "cmp"), *common,
-                 "--override", f"experiment.variants={variant}",
-                 "--override", "experiment.seeds=4",
-                 "--override", "experiment.motor_profile_steps=1000",
-                 "--override", "experiment.segments=2"]) == 0
-    assert main(["train", "--out", str(tmp_path / "train"), "--seed", "4", *common,
+    config = ["--override", "env.kind=motor", *FAST_TRAIN,
+              "--override", f"experiment.variants={variant}",
+              "--override", "experiment.seeds=4",
+              "--override", "experiment.motor_profile_steps=1000",
+              "--override", "experiment.segments=2"]
+    assert main(["compare", "--out", str(tmp_path / "cmp"), *config]) == 0
+    assert main(["train", "--out", str(tmp_path / "train"), "--seed", "4", *config,
                  "--override", f"agent.variant={variant}"]) == 0
     run_dir, train_dir = tmp_path / "cmp" / f"{variant}-seed4", tmp_path / "train"
-    # The same artifacts, except the final snapshot (and the config echo).
+    # The same artifacts, except the snapshot `secrl train` leaves where it stops.
     assert {p.name for p in run_dir.iterdir()} == {
-        "agent.npz", "learning_curve.csv", "events.json"}
+        "agent.npz", "learning_curve.csv", "events.json", "effective_config.yaml"}
     assert {p.name for p in train_dir.iterdir()} == {
-        "agent.npz", "learning_curve.csv", "events.json",
-        "checkpoint.npz", "effective_config.yaml"}
+        "agent.npz", "learning_curve.csv", "events.json", "effective_config.yaml",
+        "checkpoint.npz"}
     with np.load(run_dir / "agent.npz") as a, np.load(train_dir / "agent.npz") as b:
         assert sorted(a.files) == sorted(b.files)
         for key in a.files:
             assert a[key].tobytes() == b[key].tobytes(), key
     for name in ("learning_curve.csv", "events.json"):
         assert (run_dir / name).read_bytes() == (train_dir / name).read_bytes()
+    # The config echoes differ in the run directory alone.
+    echoes = [(d / "effective_config.yaml").read_text().splitlines() for d in (run_dir, train_dir)]
+    assert len(echoes[0]) == len(echoes[1])
+    assert [(a, b) for a, b in zip(*echoes) if a != b] == [
+        (f"out_dir: {run_dir}", f"out_dir: {train_dir}")]
 
 
 # A tiny motor compare of one variant and seed with snapshots every 40 steps,
@@ -431,6 +440,88 @@ def test_failed_compare_run_resumes_with_secrl_train(tmp_path, monkeypatch):
     assert main([*run, "--out", str(tmp_path / "full")]) == 0
     assert _npz_members(tmp_path / "tail" / "agent.npz") == \
         _npz_members(tmp_path / "full" / "agent.npz")
+
+
+def _interrupt_in_first_update(monkeypatch, variant):
+    """Ctrl-C, as SIGINT, inside the first critic update of each `variant` run."""
+    update = sys.modules["secrl.ddpg.train"].critic_update
+
+    def interrupting_update(agent, batch, lr):
+        if agent.actor.layer_sizes[-1] == (4 if variant == "sec-ddpg" else 2):
+            signal.raise_signal(signal.SIGINT)
+        update(agent, batch, lr)
+
+    monkeypatch.setattr(sys.modules["secrl.ddpg.train"], "critic_update", interrupting_update)
+
+
+def _main_uninterrupted(argv) -> int:
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped secrl")
+
+
+def test_interrupted_compare_exits_130_and_its_run_resumes(tmp_path, capsys, monkeypatch):
+    # ddpg seed 3 finishes; sec-ddpg seed 3 is interrupted at its first
+    # update (step 16), which the run completes before it stops.
+    config = [*CMP_CONFIG, "--override", "experiment.variants=ddpg,sec-ddpg",
+              "--override", "experiment.seeds=3"]
+    out = tmp_path / "cmp"
+    _interrupt_in_first_update(monkeypatch, "sec-ddpg")
+    capsys.readouterr()
+    assert _main_uninterrupted(["compare", "--out", str(out), *config]) == 130
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [
+        {"interrupted": "compare", "finished_runs": 1, "out": str(out)}]
+    assert {line.split(",")[0] for line in (out / "report.csv").read_text().splitlines()} == \
+        {"variant", "ddpg"}
+    run_dir = out / "sec-ddpg-seed3"
+    assert {p.name for p in run_dir.iterdir()} == {
+        "checkpoint.npz", "effective_config.yaml", "events.json"}
+    assert _snapshot_step(run_dir / "checkpoint.npz") == 16
+    monkeypatch.undo()
+    run = ["train", *config, "--seed", "3", "--override", "agent.variant=sec-ddpg"]
+    assert main([*run, "--resume", str(run_dir / "checkpoint.npz"),
+                 "--out", str(tmp_path / "tail")]) == 0
+    assert main([*run, "--out", str(tmp_path / "full")]) == 0
+    assert _npz_members(tmp_path / "tail" / "agent.npz") == \
+        _npz_members(tmp_path / "full" / "agent.npz")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers inherit the interrupting update through fork")
+def test_interrupted_parallel_compare_starts_no_further_run(tmp_path, capsys, monkeypatch):
+    # Every run is interrupted at its first update; 2 workers start the
+    # first 2 of the 6 runs, and no queued run starts after the interrupt.
+    out = tmp_path / "cmp"
+    _interrupt_in_first_update(monkeypatch, "ddpg")
+    capsys.readouterr()
+    assert _main_uninterrupted(["compare", "--out", str(out), *CMP_CONFIG,
+                                "--override", "experiment.variants=ddpg",
+                                "--override", "experiment.seeds=1,2,3,4,5,6",
+                                "--override", "experiment.workers=2"]) == 130
+    assert json.loads(capsys.readouterr().err) == {
+        "interrupted": "compare", "finished_runs": 0, "out": str(out)}
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["ddpg-seed1", "ddpg-seed2"]
+    for seed in (1, 2):
+        assert _snapshot_step(out / f"ddpg-seed{seed}" / "checkpoint.npz") == 16
+
+
+def test_eval_scores_a_compare_run_as_compare_did(tmp_path, capsys):
+    config = _compare_config("sec-ddpg", 2)
+    assert main(["compare", "--out", str(tmp_path / "cmp"), *config]) == 0
+    # The compare's cases, in the order it scores them.
+    cases = [next((tmp_path / "cmp").glob(f"testcase-{kind}-seed*.npz"))
+             for kind in PLANTS["motor"].cases]
+    assert main(["eval", "--checkpoint", str(tmp_path / "cmp" / "sec-ddpg-seed2" / "agent.npz"),
+                 *(arg for case in cases for arg in ("--testcase", str(case))),
+                 "--seed", "2", *config, "--out", str(tmp_path / "eval")]) == 0
+    compared = (tmp_path / "cmp" / "report.csv").read_text().splitlines()
+    evaluated = (tmp_path / "eval" / "report.csv").read_text().splitlines()
+    # The header, then each case's mean reward, and the steady-state mean
+    # and 2 segment means of the steady-state case.
+    assert len(evaluated) == 6
+    assert evaluated == compared
 
 
 @pytest.mark.parametrize("plant", ["grid", "motor"])
