@@ -18,7 +18,6 @@ from . import ConfigurationError, EnvironmentFault, TrainingFault
 from .checkpoint import load_agent, load_trainer_into
 from .config import RL_VARIANTS, RunConfig, parse_config, parse_override_strings
 from .evaluation.experiment import (
-    PLANTS,
     AgentPolicy,
     build_eval_env,
     build_trainer,
@@ -30,7 +29,7 @@ from .evaluation.experiment import (
     write_report,
 )
 from .evaluation.metrics import require_steady_state_window
-from .evaluation.testcases import GRID_STEADYSTATE, KINDS, MOTOR_STEADYSTATE, TestCase
+from .evaluation.testcases import CASE_PLANT, PLANTS, TestCase
 
 log = logging.getLogger("secrl")
 
@@ -70,6 +69,9 @@ def cmd_train(args) -> int:
         load_trainer_into(args.resume, trainer, config_echo=json.loads(cfg.to_json()))
         log.info("resumed from %s at step %d", args.resume, trainer.step)
     until_step = cfg["train.steps"] if args.until_step is None else args.until_step
+    if until_step < trainer.step:
+        raise ConfigurationError(
+            f"--until-step {until_step} is below the trainer's step {trainer.step}")
     try:
         result = train_agent(trainer, cfg, until_step=until_step)
     except KeyboardInterrupt:
@@ -115,7 +117,7 @@ def cmd_eval(args) -> int:
     for case in cases:
         if case.kind not in PLANTS[env_kind].cases:
             raise ConfigurationError(f"test case {case.case_id} is not a {env_kind} case")
-        if case.kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
+        if case.steady_state:
             require_steady_state_window(env_kind, case.segment_length)
     policy = AgentPolicy(agent.actor, m=env.action_dim,
                          t_i=sec_info.get("t_i", cfg["sec.t_i"]),
@@ -187,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-testcase", help="generate and freeze a test case")
     _add_common(p_gen)
-    p_gen.add_argument("--kind", required=True, choices=KINDS)
+    p_gen.add_argument("--kind", required=True, choices=tuple(CASE_PLANT))
     p_gen.add_argument("--steps", type=int, default=None)
     p_gen.set_defaults(fn=cmd_gen_testcase)
     return parser

@@ -26,6 +26,7 @@ from .ddpg.train import TrainSettings
 from .envs.grid import GridParams
 from .envs.motor import MotorParams
 from .evaluation.metrics import require_steady_state_window
+from .evaluation.testcases import PLANTS
 from .nn.optim import OPTIMIZERS
 from .sec import SecRewardConfig
 
@@ -78,23 +79,15 @@ def _coerce(key: str, value, default):
 # Plant constants: one `env.<plant>.<field>` key per parameter field, in
 # field order, with the dataclass default.  The control period and the
 # history length come from `train.sampling_time` and `env.past_measurements`.
-_PLANTS = {"grid": GridParams, "motor": MotorParams}
-_PLANT_HI = {"env.motor.reference_hold_prob": 0.999999, "env.motor.reference_radius": 1.0}
-
-
 def _plant_fields(plant: str) -> list:
-    return [f for f in fields(_PLANTS[plant]) if f.name not in ("dt", "history_length")]
+    return [f for f in fields(PLANTS[plant].params_cls) if f.name not in ("dt", "history_length")]
 
 
-def _plant_keys(plant: str) -> dict[str, _Key]:
-    keys = {}
-    for f in _plant_fields(plant):
-        key = f"env.{plant}.{f.name}"
-        integral = isinstance(f.default, int)
-        # Converted: yaml.safe_dump rejects numpy scalars such as GridParams.v_nom.
-        keys[key] = _Key(int(f.default) if integral else float(f.default),
-                         lo=1 if integral else 0.0, hi=_PLANT_HI.get(key))
-    return keys
+def _plant_key(plant: str, f) -> _Key:
+    integral = isinstance(f.default, int)
+    # Converted: yaml.safe_dump rejects numpy scalars such as GridParams.v_nom.
+    return _Key(int(f.default) if integral else float(f.default),
+                lo=1 if integral else 0.0, hi=PLANTS[plant].hi.get(f.name))
 
 
 SCHEMA: dict[str, _Key] = {
@@ -139,15 +132,15 @@ SCHEMA: dict[str, _Key] = {
     "sec.kappa_p_decay_start": _Key(1_150_000, lo=0, scaled_by_horizon=True),
     "sec.kappa_i_decay_start": _Key(2_750_000, lo=0, scaled_by_horizon=True),
     # environments
-    "env.kind": _Key("grid", choices=("grid", "motor")),
+    "env.kind": _Key("grid", choices=tuple(PLANTS)),
     "env.past_measurements": _Key(5, lo=0, hi=50),
     # Training runs every episode to the step cap.  With always-negative
     # rewards, ending an episode at a limit violation *pays* (terminal cuts
     # the stream of penalties), and agents demonstrably learn to crash; the
     # violation-terminal machinery stays available behind this switch.
     "env.terminate_on_violation": _Key(False),
-    **_plant_keys("grid"),
-    **_plant_keys("motor"),
+    **{f"env.{plant}.{f.name}": _plant_key(plant, f)
+       for plant in PLANTS for f in _plant_fields(plant)},
     # experiment harness
     "experiment.variants": _Key(list(VARIANTS)),
     "experiment.seeds": _Key([1, 2, 3, 4, 5]),
@@ -190,19 +183,20 @@ class RunConfig:
 
     # -- builders ---------------------------------------------------------
 
-    def _plant_params(self, plant: str):
+    def plant_params(self, plant: str):
+        """The parameters of plant `plant`, a name in ``PLANTS``."""
         v = self.values
-        return _PLANTS[plant](
+        return PLANTS[plant].params_cls(
             **{f.name: v[f"env.{plant}.{f.name}"] for f in _plant_fields(plant)},
             dt=v["train.sampling_time"],
             history_length=v["env.past_measurements"],
         )
 
     def grid_params(self) -> GridParams:
-        return self._plant_params("grid")
+        return self.plant_params("grid")
 
     def motor_params(self) -> MotorParams:
-        return self._plant_params("motor")
+        return self.plant_params("motor")
 
     def agent_config(self, obs_dim: int, action_dim: int) -> AgentConfig:
         v = self.values

@@ -41,11 +41,6 @@ class OuNoise:
         self.value = self.value + drift + shock
         return self.value.copy()
 
-    def stationary_variance(self) -> float:
-        """Variance of the AR(1) recursion (requires 0 < stiffness*dt < 2)."""
-        lam_dt = self.stiffness * self.dt
-        return self.diffusion ** 2 * self.dt / (2.0 * lam_dt - lam_dt ** 2)
-
     def state_dict(self) -> dict:
         return {"value": self.value.copy()}
 

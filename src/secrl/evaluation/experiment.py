@@ -8,7 +8,7 @@ so windows stay complete, and reports task metrics only.
 This module is the one run path: ``secrl train``, ``eval``, ``gen-testcase``
 and ``compare`` build trainers, write run artifacts, make test cases and
 write reports through the functions here, and every grid/motor difference
-is a field of one entry in ``PLANTS``.
+is a field of one entry in ``testcases.PLANTS``.
 """
 
 from __future__ import annotations
@@ -17,24 +17,21 @@ import contextlib
 import ctypes
 import json
 import logging
+import multiprocessing
+import os
 import platform
 import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .. import ConfigurationError
-from ..baselines.grid_cascade import CascadeGains, GridCascadePolicy, tune_grid_cascade
-from ..baselines.pi import MotorPiPolicy
+from ..baselines.grid_cascade import CascadeGains
 from ..checkpoint import atomic_write, save_agent, save_trainer, write_csv
 from ..config import RL_VARIANTS, RunConfig
 from ..ddpg.train import Trainer, TrainResult
-from ..envs.grid import GridEnv
-from ..envs.motor import MotorEnv
 from ..nn.mlp import MlpParams, mlp_forward
 from ..sec import SecActionWrapper
 from .metrics import (
@@ -44,50 +41,9 @@ from .metrics import (
     require_steady_state_window,
     steady_state_metric,
 )
-from .testcases import (
-    GRID_LOAD_PROFILE,
-    GRID_STEADYSTATE,
-    MOTOR_REFERENCE_PROFILE,
-    MOTOR_STEADYSTATE,
-    TestCase,
-    gen_grid_testcase,
-    gen_motor_profile,
-    gen_steadystate_testcase,
-)
+from .testcases import CASE_PLANT, PLANTS, TestCase, case_plant, gen_steadystate_testcase
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Plant:
-    """The facts about one plant kind that the run path needs."""
-
-    name: str
-    env_cls: type
-    params: Callable         # RunConfig -> plant parameters
-    set_schedule: Callable   # (env, test-case payload): replay a frozen series
-    ref_key: str             # step-info keys of the reference and the measurement
-    meas_key: str
-    limit: str               # parameter field the metrics normalize by
-    cases: tuple[str, str]   # test-case kinds: transient profile, steady state
-    pi: Callable             # (cfg, tuned cascade gains or None) -> PI controller
-
-
-PLANTS = {
-    "grid": Plant("grid", GridEnv, RunConfig.grid_params, GridEnv.set_load_schedule,
-                  "v_ref", "v_meas", "v_lim", (GRID_LOAD_PROFILE, GRID_STEADYSTATE),
-                  lambda cfg, gains: GridCascadePolicy(cfg.grid_params(), gains)),
-    "motor": Plant("motor", MotorEnv, RunConfig.motor_params, MotorEnv.set_reference_schedule,
-                   "i_ref", "i_meas", "i_lim", (MOTOR_REFERENCE_PROFILE, MOTOR_STEADYSTATE),
-                   lambda cfg, gains: MotorPiPolicy(cfg.motor_params())),
-}
-_CASE_PLANT = {kind: plant for plant in PLANTS.values() for kind in plant.cases}
-
-
-def _plant(kind: str) -> Plant:
-    if kind not in PLANTS:
-        raise ConfigurationError(f"unknown plant kind {kind!r}")
-    return PLANTS[kind]
 
 
 class AgentPolicy:
@@ -143,7 +99,7 @@ def rollout(env, policy, case: TestCase, seed: int) -> Trajectory:
     Each step computes only what the trajectory records and what the
     policy reads: no task reward (the metrics recompute it from the
     trajectory), and either the observation or the measurements."""
-    plant = _CASE_PLANT[case.kind]
+    plant = CASE_PLANT[case.kind]
     plant.set_schedule(env, case.payload)
     t_i, t_aw = policy.sec_params or (None, None)
     wrapped = SecActionWrapper(env, t_i, t_aw)
@@ -190,30 +146,25 @@ def make_testcase(cfg: RunConfig, kind: str, seed: int, steps: int | None = None
     (>= 1) overrides the configured length of a transient profile.  A
     steady-state case's length is set by its segments, so it refuses
     `steps`, and its segments must leave its plant a steady-state window."""
+    plant = case_plant(kind)
     seg_len = cfg["experiment.segment_length"]
     radius = cfg["env.motor.reference_radius"] * cfg["env.motor.i_lim"]
-    if kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
+    if kind == plant.cases[1]:
         if steps is not None:
             raise ConfigurationError(
                 f"steps applies to transient profiles only; the length of {kind} is "
                 "experiment.segments x experiment.segment_length")
-        require_steady_state_window(_CASE_PLANT[kind].name, seg_len)
+        require_steady_state_window(plant.name, seg_len)
         return gen_steadystate_testcase(kind, seed, cfg["experiment.segments"], seg_len, radius)
     if steps is not None and steps < 1:
         raise ConfigurationError(f"test case steps must be >= 1, got {steps}")
-    if kind == GRID_LOAD_PROFILE:
-        return gen_grid_testcase(seed, steps or cfg["experiment.grid_transient_steps"],
-                                 cfg["train.sampling_time"])
-    if kind == MOTOR_REFERENCE_PROFILE:
-        return gen_motor_profile(seed, steps or cfg["experiment.motor_profile_steps"],
-                                 seg_len, radius)
-    raise ConfigurationError(f"unknown test case kind {kind!r}")
+    return plant.profile(cfg, seed, steps, radius)
 
 
 def build_training_env(cfg: RunConfig, variant: str, seed: int):
     """Plant + action wrapper matching the agent variant."""
-    plant = _plant(cfg["env.kind"])
-    env = plant.env_cls(plant.params(cfg), gamma=cfg["agent.gamma"], seed=seed,
+    plant = PLANTS[cfg["env.kind"]]
+    env = plant.env_cls(cfg.plant_params(plant.name), gamma=cfg["agent.gamma"], seed=seed,
                         terminate_on_violation=cfg["env.terminate_on_violation"])
     if variant == "sec-ddpg":
         return SecActionWrapper(env, cfg["sec.t_i"], cfg["sec.t_aw"], cfg.sec_reward_config())
@@ -221,8 +172,9 @@ def build_training_env(cfg: RunConfig, variant: str, seed: int):
 
 
 def build_eval_env(cfg: RunConfig, env_kind: str | None = None):
-    plant = _plant(env_kind or cfg["env.kind"])
-    return plant.env_cls(plant.params(cfg), gamma=0.0, seed=0, terminate_on_violation=False)
+    plant = PLANTS[env_kind or cfg["env.kind"]]
+    return plant.env_cls(cfg.plant_params(plant.name), gamma=0.0, seed=0,
+                         terminate_on_violation=False)
 
 
 def eval_seed_for(case: TestCase, run_seed: int) -> int:
@@ -265,7 +217,7 @@ def train_agent(trainer: Trainer, cfg: RunConfig, until_step: int | None = None)
     cadences = [n for n in (progress_every, checkpoint_every) if n]
     written = None  # the step of the last snapshot the cadence wrote
     try:
-        with _interrupts_between_steps(trainer):
+        with _interrupts_between_steps(trainer, cfg):
             while True:
                 start = trainer.step
                 # Run to the next multiple of a cadence, or to the stop.
@@ -281,9 +233,6 @@ def train_agent(trainer: Trainer, cfg: RunConfig, until_step: int | None = None)
                 if checkpoint_every and step % checkpoint_every == 0:
                     write_checkpoint(trainer, cfg)
                     written = step
-    except KeyboardInterrupt:
-        write_checkpoint(trainer, cfg)  # the full training state, for --resume
-        raise
     finally:
         with atomic_write(out_dir / "events.json", text=True) as fh:
             fh.write(json.dumps(trainer.events, indent=1))
@@ -298,26 +247,52 @@ def train_agent(trainer: Trainer, cfg: RunConfig, until_step: int | None = None)
 
 
 @contextlib.contextmanager
-def _interrupts_between_steps(trainer: Trainer):
-    """Defer Ctrl-C (SIGINT) to the end of the trainer's current step, then
-    raise KeyboardInterrupt: a snapshot of that step resumes to the bytes
-    of an uninterrupted run, where one taken inside a step, its update
-    half done, would not.  A SIGINT that raises no KeyboardInterrupt (an
-    ignored one) is left as it is."""
-    def request_stop(signum, frame):
-        trainer.stop_requested = True
-
-    deferred = signal.getsignal(signal.SIGINT) is signal.default_int_handler
-    if deferred:
-        signal.signal(signal.SIGINT, request_stop)
+def _sigint_calls(handler):
+    """Have Ctrl-C (SIGINT) call `handler` while the block runs.  A SIGINT
+    that raises no KeyboardInterrupt (an ignored one) is left as it is."""
+    replaced = signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    if replaced:
+        signal.signal(signal.SIGINT, handler)
     try:
         yield
     finally:
-        if deferred:
+        if replaced:
             signal.signal(signal.SIGINT, signal.default_int_handler)
+
+
+@contextlib.contextmanager
+def _interrupts_between_steps(trainer: Trainer, cfg: RunConfig):
+    """Defer SIGINT to the end of the block: it ends the trainer's run
+    after the current step, and the block then writes the snapshot of
+    that step, with SIGINT still deferred, and raises KeyboardInterrupt.
+    The snapshot resumes to the bytes of an uninterrupted run, where one
+    taken inside a step, its update half done, would not.  A
+    KeyboardInterrupt raised in the block also leaves a snapshot."""
+    def request_stop(signum, frame):
+        trainer.stop_requested = True
+
+    try:
+        with _sigint_calls(request_stop):
+            try:
+                yield
+            except KeyboardInterrupt:
+                trainer.stop_requested = True
+            if trainer.stop_requested:
+                write_checkpoint(trainer, cfg)  # the full training state, for --resume
+    finally:
         stopped, trainer.stop_requested = trainer.stop_requested, False
     if stopped:
         raise KeyboardInterrupt
+
+
+def _forward_interrupt(signum, frame):
+    """Pass SIGINT on to this process's children, then raise
+    KeyboardInterrupt.  Ctrl-C reaches them anyway; a SIGINT sent to
+    this process alone does not."""
+    for child in multiprocessing.active_children():
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(child.pid, signal.SIGINT)
+    raise KeyboardInterrupt
 
 
 def write_learning_curve(path: Path, curve) -> None:
@@ -331,13 +306,13 @@ def evaluate_policy(cfg: RunConfig, policy, cases: list[TestCase], run_seed: int
     `trajectory_dir`, each case's trajectory is also written there."""
     rows = []
     for case in cases:
-        env = build_eval_env(cfg, _CASE_PLANT[case.kind].name)
+        env = build_eval_env(cfg, CASE_PLANT[case.kind].name)
         traj = rollout(env, policy, case, eval_seed_for(case, run_seed))
         if trajectory_dir is not None:
             trajectory_dir.mkdir(parents=True, exist_ok=True)
             traj.to_csv(trajectory_dir / f"trajectory-{case.case_id}.csv")
         metrics = [("mean_reward", mean_task_reward(traj))]
-        if case.kind in (GRID_STEADYSTATE, MOTOR_STEADYSTATE):
+        if case.steady_state:
             seg_means, overall = steady_state_metric(traj, case.segment_length)
             metrics.append(("steady_state_mean", overall))
             metrics += [(f"segment_mean_{s:02d}", float(v)) for s, v in enumerate(seg_means)]
@@ -360,7 +335,8 @@ def _run_one(cfg: RunConfig, cases: list[TestCase], pi_gains: CascadeGains | Non
             policy = AgentPolicy(result.agent.actor, m=trainer.env.m,
                                  t_i=cfg["sec.t_i"], t_aw=cfg["sec.t_aw"])
         elif variant == "pi":
-            policy = ControllerPolicy(_plant(cfg["env.kind"]).pi(cfg, pi_gains))
+            plant = PLANTS[cfg["env.kind"]]
+            policy = ControllerPolicy(plant.pi(cfg.plant_params(plant.name), pi_gains))
         else:
             raise ConfigurationError(f"unknown variant {variant!r}")
         traj_dir = Path(cfg["out_dir"]) if cfg["experiment.save_trajectories"] else None
@@ -378,17 +354,17 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> dict:
     plant's two frozen test cases, aggregate."""
     out_dir = Path(out_dir)
     case_seed = cfg["experiment.testcase_seed"]
-    cases = [make_testcase(cfg, kind, case_seed + k)
-             for k, kind in enumerate(_plant(cfg["env.kind"]).cases)]
+    plant = PLANTS[cfg["env.kind"]]
+    cases = [make_testcase(cfg, kind, case_seed + k) for k, kind in enumerate(plant.cases)]
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "effective_config.yaml")
     for case in cases:
         case.save(out_dir / f"testcase-{case.case_id}.npz")
 
     pi_gains = None
-    if "pi" in cfg["experiment.variants"] and cfg["env.kind"] == "grid":
-        pi_gains, tune_report = tune_grid_cascade(
-            cfg.grid_params(), seed=cfg["experiment.pi_tune_seed"],
+    if "pi" in cfg["experiment.variants"] and plant.tune is not None:
+        pi_gains, tune_report = plant.tune(
+            cfg.plant_params(plant.name), seed=cfg["experiment.pi_tune_seed"],
             steps=cfg["experiment.pi_tune_steps"],
         )
         with atomic_write(out_dir / "pi_tuning.json", text=True) as fh:
@@ -418,22 +394,48 @@ def _finished_runs(jobs: list[tuple], workers: int):
     when serial, in completion order across `workers` processes.  At most
     `workers` runs are submitted at a time: the pool moves submitted calls
     into its queue ahead of its workers, so after an interrupt, which
-    stops the batch, a longer queue would still start runs."""
+    stops the batch, a longer queue would still start runs.  A SIGINT of
+    this process reaches the workers too, so each run in flight stops at
+    its next step and leaves its snapshot; a run that finished first still
+    reports."""
     if workers == 1:
         for job in jobs:
             log.info("running %s seed %d", job[0]["agent.variant"], job[0]["seed"])
             yield _run_one(*job)
         return
-    running = set()
-    with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_memory) as pool:
-        for job in jobs:
-            if len(running) == workers:
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
+    pending, running = list(jobs), set()
+    with _sigint_calls(_forward_interrupt), ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker) as pool:
+        try:
+            while pending or running:
+                if pending and len(running) < workers:
+                    running.add(pool.submit(_worker_run, *pending.pop(0)))
+                    continue
+                for future in wait(running, return_when=FIRST_COMPLETED).done:
+                    running.remove(future)
                     yield future.result()
-            running.add(pool.submit(_run_one, *job))
-        for future in as_completed(running):
-            yield future.result()
+        except KeyboardInterrupt:
+            for future in as_completed(running):
+                if future.exception() is None:
+                    yield future.result()
+            raise
+
+
+def _start_worker() -> None:
+    """Set up a pool worker: it ignores SIGINT between runs, where
+    KeyboardInterrupt would end the worker and break the pool."""
+    keep_freed_memory()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _worker_run(*job) -> dict:
+    """`_run_one` in a pool worker, where SIGINT interrupts it as in the
+    parent: a training run stops at its next step and leaves its snapshot."""
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        return _run_one(*job)
+    finally:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def keep_freed_memory() -> None:

@@ -15,13 +15,14 @@ import numpy as np
 from .. import ConfigurationError
 from ..checkpoint import write_csv
 from ..envs.base import root_error_sum
+from .testcases import PLANTS
 
 
 @dataclass
 class Trajectory:
     """Per-step rollout record for one evaluation episode."""
 
-    kind: str                 # 'grid' or 'motor'
+    kind: str                 # a plant, a key of PLANTS
     limit: float              # v_lim or i_lim used for normalization
     reference: np.ndarray     # (N, d)
     measured: np.ndarray      # (N, d)
@@ -31,7 +32,7 @@ class Trajectory:
     violations: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        if self.kind not in ("grid", "motor"):
+        if self.kind not in PLANTS:
             raise ConfigurationError(f"unknown trajectory kind {self.kind!r}")
         if self.reference.shape != self.measured.shape:
             raise ConfigurationError("reference/measured shape mismatch")
@@ -77,18 +78,13 @@ def mean_task_reward(traj: Trajectory) -> float:
     return float(np.mean(per_step_rewards(traj)))
 
 
-# Steps dropped at the start of every steady-state segment, per plant: the
-# motor current loop settles more slowly than the grid voltage.
-STEADY_STATE_SKIP = {"grid": 100, "motor": 200}
-
-
 def require_steady_state_window(kind: str, segment_length: int) -> None:
     """Refuse a `segment_length` that leaves no steady-state window on
     plant `kind` (ConfigurationError)."""
-    if segment_length <= STEADY_STATE_SKIP[kind]:
+    if segment_length <= PLANTS[kind].steady_state_skip:
         raise ConfigurationError(
-            f"experiment.segment_length={segment_length} leaves no steady-state window: "
-            f"it must exceed the {STEADY_STATE_SKIP[kind]} steps skipped on the {kind} plant")
+            f"experiment.segment_length={segment_length} leaves no steady-state window: it must "
+            f"exceed the {PLANTS[kind].steady_state_skip} steps skipped on the {kind} plant")
 
 
 def steady_state_metric(
@@ -99,11 +95,11 @@ def steady_state_metric(
     """Per-segment means with the transient window dropped.
 
     The first `skip` steps of every segment are discarded (by default the
-    plant's STEADY_STATE_SKIP) and the task reward is averaged over the
+    plant's steady_state_skip) and the task reward is averaged over the
     remainder; returns (per-segment means, their mean).
     """
     if skip is None:
-        skip = STEADY_STATE_SKIP[traj.kind]
+        skip = PLANTS[traj.kind].steady_state_skip
     n = len(traj)
     if segment_length <= skip:
         raise ConfigurationError("segment_length must exceed the skipped window")

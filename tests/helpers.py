@@ -55,6 +55,12 @@ def fd_input_gradient(params: MlpParams, x: np.ndarray, cotangent: np.ndarray, s
     return grad
 
 
+def ou_stationary_variance(ou) -> float:
+    """Variance of the OU noise's AR(1) recursion (requires 0 < stiffness*dt < 2)."""
+    lam_dt = ou.stiffness * ou.dt
+    return ou.diffusion ** 2 * ou.dt / (2.0 * lam_dt - lam_dt ** 2)
+
+
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     """Norm-wise relative deviation, safe near zero."""
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)

@@ -3,10 +3,12 @@
 import json
 import logging
 import multiprocessing
+import os
 import re
 import signal
 import subprocess
 import sys
+import time
 import zipfile
 
 import numpy as np
@@ -505,6 +507,97 @@ def test_interrupted_parallel_compare_starts_no_further_run(tmp_path, capsys, mo
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["ddpg-seed1", "ddpg-seed2"]
     for seed in (1, 2):
         assert _snapshot_step(out / f"ddpg-seed{seed}" / "checkpoint.npz") == 16
+
+
+def test_parent_only_sigint_stops_a_parallel_compare(tmp_path, capsys):
+    # `kill -INT <pid>`, not Ctrl-C: the signal reaches the compare process
+    # alone, which passes it on to its 2 workers.  Each run stops at its next
+    # step, long before its 10^6 steps, and leaves a snapshot that resumes.
+    config = ["--override", "env.kind=motor", *FAST_TRAIN,
+              "--override", "train.steps=1000000", "--override", "agent.buffer_size=20000",
+              "--override", "experiment.variants=ddpg,sec-ddpg", "--override", "experiment.seeds=1",
+              "--override", "experiment.workers=2"]
+    out = tmp_path / "cmp"
+    runs = [out / "ddpg-seed1", out / "sec-ddpg-seed1"]
+    proc = subprocess.Popen([sys.executable, "-m", "secrl.cli", "compare", "--out", str(out),
+                             *config], stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not all((run / "effective_config.yaml").exists() for run in runs):
+            assert proc.poll() is None and time.monotonic() < deadline, "the runs did not start"
+            time.sleep(0.05)
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert json.loads(err.splitlines()[-1]) == {
+        "interrupted": "compare", "finished_runs": 0, "out": str(out)}
+    assert not (out / "report.csv").exists()
+    for run in runs:
+        step = _snapshot_step(run / "checkpoint.npz")
+        assert 0 < step < 1_000_000
+        variant = run.name.split("-seed")[0]
+        assert main(["train", *config, "--seed", "1", "--override", f"agent.variant={variant}",
+                     "--resume", str(run / "checkpoint.npz"), "--until-step", str(step + 10),
+                     "--out", str(tmp_path / f"tail-{variant}")]) == 0
+
+
+def test_second_sigint_during_the_interrupt_snapshot_keeps_it(tmp_path, capsys, monkeypatch):
+    # Ctrl-C in the first update, and again while the snapshot is written:
+    # the second is deferred like the first, and the snapshot is written.
+    save = experiment.save_trainer
+
+    def interrupted_save(*args, **kwargs):
+        signal.raise_signal(signal.SIGINT)
+        save(*args, **kwargs)
+
+    _interrupt_in_first_update(monkeypatch, "ddpg")
+    monkeypatch.setattr(experiment, "save_trainer", interrupted_save)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert _main_uninterrupted(["train", "--out", str(out), "--override", "env.kind=motor",
+                                *FAST_TRAIN, "--override", "agent.variant=ddpg"]) == 130
+    assert _error_record(capsys) == {"interrupted_at_step": 16,
+                                     "resume_from": str(out / "checkpoint.npz")}
+    assert _snapshot_step(out / "checkpoint.npz") == 16
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", "7"), ("seed", -3), ("segment_length", 500.0), ("seed", 7.5), ("seed", True),
+    ("kind", ["motor-steadystate"])])
+def test_testcase_meta_must_hold_a_kind_and_integers(paused_run, tmp_path, capsys, field, value):
+    root, _, case_path = paused_run
+    with np.load(case_path) as data:
+        meta, payload = json.loads(str(data["meta"])), data["payload"]
+    bad = tmp_path / "case.npz"
+    np.savez(bad, payload=payload, meta=json.dumps({**meta, field: value}))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(root / "head" / "agent.npz"), "--testcase", str(bad),
+                 "--override", "env.kind=motor", "--out", str(tmp_path / "evalout")]) == 2
+    error = (f"unknown test case kind {value!r}" if field == "kind"
+             else f"{field} must be an integer >= 0, got {value!r}")
+    assert _error_record(capsys) == {
+        "error": "configuration", "message": f"cannot read test case {bad}: {error}"}
+    assert not (tmp_path / "evalout").exists()
+
+
+@pytest.mark.parametrize("resume, until", [(False, -5), (True, 30)])
+def test_train_refuses_until_step_below_the_trainer_step(paused_run, tmp_path, capsys,
+                                                          resume, until):
+    # The paused run's snapshot is at step 60.
+    root, base, _ = paused_run
+    argv = ["--resume", str(root / "head" / "checkpoint.npz")] if resume else []
+    capsys.readouterr()
+    assert main(["train", "--out", str(tmp_path / "out"), *base, *argv,
+                 "--until-step", str(until)]) == 2
+    assert _error_record(capsys) == {
+        "error": "configuration",
+        "message": f"--until-step {until} is below the trainer's step {60 if resume else 0}"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_scores_a_compare_run_as_compare_did(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from secrl import ConfigurationError
 from secrl.config import FULL_SCALE_STEPS, SCHEMA, parse_config, parse_override_strings
-from secrl.evaluation.metrics import STEADY_STATE_SKIP
+from secrl.evaluation.testcases import PLANTS
 
 
 class TestDefaults:
@@ -91,7 +91,7 @@ class TestValidation:
         # Scoring would fail after training, so allow_out_of_range cannot lift it.
         for allow in (False, True):
             with pytest.raises(ConfigurationError, match=f"segment_length={length} leaves no "
-                               f"steady-state window.* {STEADY_STATE_SKIP[kind]} steps"):
+                               f"steady-state window.* {PLANTS[kind].steady_state_skip} steps"):
                 parse_config(None, {**values, "allow_out_of_range": allow})
 
     def test_type_coercion_failures(self):

@@ -28,7 +28,7 @@ from secrl.evaluation.experiment import (
     rollout,
 )
 from secrl.evaluation.metrics import Trajectory
-from secrl.evaluation.testcases import gen_grid_testcase, gen_steadystate_testcase
+from secrl.evaluation.testcases import CASE_PLANT, gen_grid_testcase, gen_steadystate_testcase
 from secrl.nn.mlp import LINEAR, TANH, mlp_forward, mlp_init
 from secrl.sec import SecActionWrapper
 from secrl.seeding import derive_rng
@@ -40,7 +40,7 @@ MOTOR_KEYS = {"task_reward", "i_meas", "i_ref", "limit_violation"}
 def full_rollout(env, policy, case, seed: int) -> Trajectory:
     """rollout as it was before the lean step: every step computes the
     reward and the observation, and every policy gets the measurements."""
-    plant = experiment._CASE_PLANT[case.kind]
+    plant = CASE_PLANT[case.kind]
     plant.set_schedule(env, case.payload)
     t_i, t_aw = policy.sec_params or (None, None)
     wrapped = SecActionWrapper(env, t_i, t_aw)
@@ -111,7 +111,7 @@ CFG, JOBS = _jobs()
 
 @pytest.mark.parametrize("name, policy, case", JOBS, ids=[j[0] for j in JOBS])
 def test_lean_rollout_equals_full_step_path(name, policy, case):
-    plant = experiment._CASE_PLANT[case.kind].name
+    plant = CASE_PLANT[case.kind].name
     env, env_full = build_eval_env(CFG, plant), build_eval_env(CFG, plant)
     traj = rollout(env, policy, case, seed=7)
     ref = full_rollout(env_full, policy, case, seed=7)

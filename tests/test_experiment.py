@@ -4,10 +4,13 @@ import contextlib
 import importlib.util
 import json
 import logging
+import multiprocessing
+import os
 import re
 import resource
 import signal
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -383,3 +386,38 @@ def test_failed_run_file_write_keeps_the_previous_file(tmp_path, name):
         write(path, 100)
     assert path.read_bytes() == before
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def _run_around_an_interrupt(cfg, started, pi_gains):
+    """A pool worker's fake run.  The run "interrupted" marks that it has
+    started and idles until SIGINT reaches it (30 s at most); the run
+    "finishing" waits for that mark, sends SIGINT to the parent alone and
+    finishes 0.5 s later, while the parent shuts down."""
+    if cfg == "interrupted":
+        started.touch()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            time.sleep(0.01)
+        return {"run": cfg}
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while not started.exists():
+        time.sleep(0.01)
+    os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(0.5)
+    return {"run": cfg}
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers inherit the fake run through fork")
+def test_run_that_finishes_after_a_parent_sigint_still_reports(tmp_path, monkeypatch):
+    # The parent passes the SIGINT on, so the idle run stops at once, and it
+    # still yields the record of the run that finished during the shutdown.
+    monkeypatch.setattr(experiment, "_run_one", _run_around_an_interrupt)
+    started = tmp_path / "started"
+    records, t0 = [], time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        for record in experiment._finished_runs(
+                [("interrupted", started, None), ("finishing", started, None)], workers=2):
+            records.append(record)
+    assert records == [{"run": "finishing"}]
+    assert time.monotonic() - t0 < 20

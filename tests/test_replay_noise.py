@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import ou_stationary_variance
 from secrl import ConfigurationError
 from secrl.ddpg.noise import OuNoise, noisy_action
 from secrl.ddpg.replay import Experience, ReplayBuffer
@@ -120,7 +121,7 @@ class TestOuNoise:
         series = lfilter([1.0], [1.0, -a], shocks)
         burn = 50_000
         tail = series[burn:]
-        var_expected = ou.stationary_variance()
+        var_expected = ou_stationary_variance(ou)
         sd_stat = np.sqrt(var_expected)
         se_mean = sd_stat * np.sqrt((1 + a) / ((1 - a) * len(tail)))
         assert abs(np.mean(tail)) < 4.0 * se_mean
