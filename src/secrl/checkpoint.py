@@ -219,15 +219,18 @@ def _reading(path: str | Path, kind: str):
     open file, whose members ``_read_into`` reads.  ``kind`` is ``"agent"``
     or ``"trainer"`` for a checkpoint, whose other versions are refused, or
     ``"test case"``.  A damaged or foreign file, a missing member or a meta
-    field of the wrong kind (also one looked up inside the ``with`` block)
-    raises ConfigurationError.  A ConfigurationError raised inside a
-    checkpoint's block passes as is, a damaged member's as "checkpoint
-    member ..."; a test case reports either as unreadable."""
+    field of the wrong kind (also one looked up inside the ``with`` block),
+    or a meta that is no JSON object raises ConfigurationError.  A
+    ConfigurationError raised inside a checkpoint's block passes as is, a
+    damaged member's as "checkpoint member ..."; a test case reports either
+    as unreadable."""
     noun = kind if kind == "test case" else "checkpoint"
     try:
         with _zip_file(path) as zf:
             meta = json.loads(_read_meta(zf), object_hook=_decode)
-            version = meta.get("version") if isinstance(meta, dict) else None
+            if not isinstance(meta, dict):
+                raise _MemberError(f"member meta: {type(meta).__name__}, expected a JSON object")
+            version = meta.get("version")
             if noun == "checkpoint" and version != FORMAT_VERSION:
                 raise ConfigurationError(f"unsupported {kind} checkpoint version {version}")
             yield meta, zf

@@ -45,20 +45,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-v", "--verbose", action="store_true")
 
 
-def _load_config(args) -> tuple[RunConfig, int, Path]:
+def _load_config(args) -> RunConfig:
     overrides = parse_override_strings(args.override)
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = str(args.out)
-    cfg = parse_config(args.config, overrides)
-    out_dir = Path(cfg["out_dir"])
-    return cfg, cfg["seed"], out_dir
+    return parse_config(args.config, overrides)
 
 
 def cmd_train(args) -> int:
     keep_freed_memory()
-    cfg, _, out_dir = _load_config(args)
+    cfg = _load_config(args)
+    out_dir = Path(cfg["out_dir"])
     variant = cfg["agent.variant"]
     if variant not in RL_VARIANTS:
         raise ConfigurationError(
@@ -83,11 +82,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _agent_extra(extra, cfg: RunConfig) -> tuple[str, dict]:
-    """The plant and integrator settings in an agent file's ``extra``, the
-    config's plant when it names none; an ``extra`` that is no dict, a
-    plant name that is no plant, or a ``sec`` entry that is no dict of
-    positive numbers raises ConfigurationError."""
+def _agent_extra(extra, cfg: RunConfig) -> dict:
+    """The plant and integrator settings in an agent file's ``extra``, as
+    config values; the config's plant when it names none.  An ``extra``
+    that is no dict, a plant name that is no plant, or a ``sec`` entry that
+    is no dict of positive numbers raises ConfigurationError."""
     if not isinstance(extra, dict):
         raise ConfigurationError(f"checkpoint extra: {type(extra).__name__}, expected a dict")
     env_kind, sec = extra.get("env_kind", cfg["env.kind"]), extra.get("sec", {})
@@ -97,49 +96,51 @@ def _agent_extra(extra, cfg: RunConfig) -> tuple[str, dict]:
     if not isinstance(sec, dict) or not all(
             type(v) in (int, float) and 0 < v < math.inf for v in sec.values()):
         raise ConfigurationError(f"checkpoint extra.sec: {sec!r}, expected positive numbers")
-    return env_kind, sec
+    return {"env.kind": env_kind,
+            **{f"sec.{key}": float(sec[key]) for key in ("t_i", "t_aw") if key in sec}}
 
 
 def cmd_eval(args) -> int:
-    cfg, seed, out_dir = _load_config(args)
+    flags = _load_config(args)
     agent, extra = load_agent(args.checkpoint)
-    env_kind, sec_info = _agent_extra(extra, cfg)
-    if env_kind != cfg["env.kind"]:
-        log.warning("checkpoint env %s overrides config env %s", env_kind, cfg["env.kind"])
-        cfg.values["env.kind"] = env_kind
+    # The scored config: the flags', with the agent file's plant and integrator settings.
+    cfg = RunConfig({**flags.values, **_agent_extra(extra, flags)})
+    if cfg["env.kind"] != flags["env.kind"]:
+        log.warning("checkpoint env %s overrides config env %s", cfg["env.kind"], flags["env.kind"])
+    out_dir = Path(cfg["out_dir"])
     cases = [TestCase.load(p) for p in args.testcase]
-    env = build_eval_env(cfg, env_kind)
+    env = build_eval_env(cfg)
     if agent.actor.layer_sizes[0] != env.obs_dim:
         raise ConfigurationError(
             f"checkpoint actor expects {agent.actor.layer_sizes[0]} features, "
             f"environment provides {env.obs_dim}"
         )
     for case in cases:
-        if case.kind not in PLANTS[env_kind].cases:
-            raise ConfigurationError(f"test case {case.case_id} is not a {env_kind} case")
+        if case.kind not in PLANTS[cfg["env.kind"]].cases:
+            raise ConfigurationError(f"test case {case.case_id} is not a {cfg['env.kind']} case")
         if case.steady_state:
-            require_steady_state_window(env_kind, case.segment_length)
-    policy = AgentPolicy(agent.actor, m=env.action_dim,
-                         t_i=sec_info.get("t_i", cfg["sec.t_i"]),
-                         t_aw=sec_info.get("t_aw", cfg["sec.t_aw"]))
-    # Echoed after the plant override, so it names the plant that is scored,
-    # and after every check, so a refused eval leaves --out untouched.
+            require_steady_state_window(cfg["env.kind"], case.segment_length)
+    policy = AgentPolicy(agent.actor, m=env.action_dim, t_i=cfg["sec.t_i"], t_aw=cfg["sec.t_aw"])
+    # Echoed after every check, so a refused eval leaves --out untouched.
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "effective_config.yaml")
-    rows = evaluate_policy(cfg, policy, cases, run_seed=seed, trajectory_dir=out_dir)
+    rows = evaluate_policy(cfg, policy, cases, run_seed=cfg["seed"], trajectory_dir=out_dir)
     write_report(out_dir / "report.csv",
-                 [{"variant": extra.get("variant", "agent"), "seed": seed, "rows": rows}])
-    headline = {r["metric_name"]: r["value"] for r in rows
-                if r["metric_name"] in ("mean_reward", "steady_state_mean")}
+                 [{"variant": extra.get("variant", "agent"), "seed": cfg["seed"], "rows": rows}])
+    headline: dict = {}
+    for r in rows:
+        if r["metric_name"] in ("mean_reward", "steady_state_mean"):
+            headline.setdefault(r["test_case_id"], {})[r["metric_name"]] = r["value"]
     print(json.dumps({"checkpoint": str(args.checkpoint), "metrics": headline}))
     return 0
 
 
 def cmd_compare(args) -> int:
     keep_freed_memory()
-    cfg, _, out_dir = _load_config(args)
+    cfg = _load_config(args)
+    out_dir = Path(cfg["out_dir"])
     try:
-        summary = run_experiment(cfg, out_dir)
+        summary = run_experiment(cfg)
     except KeyboardInterrupt as exc:
         # The finished runs' reports stay; a training run in flight left its snapshot.
         print(json.dumps({"interrupted": "compare",
@@ -153,10 +154,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_testcase(args) -> int:
-    cfg, seed, out_dir = _load_config(args)
-    case = make_testcase(cfg, args.kind, seed, args.steps)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"testcase-{case.case_id}.npz"
+    cfg = _load_config(args)
+    case = make_testcase(cfg, args.kind, cfg["seed"], args.steps)
+    path = Path(cfg["out_dir"]) / f"testcase-{case.case_id}.npz"
+    path.parent.mkdir(parents=True, exist_ok=True)
     case.save(path)
     print(str(path))
     return 0

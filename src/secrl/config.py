@@ -299,7 +299,8 @@ def parse_config(
     overrides: dict | None = None,
 ) -> RunConfig:
     """Merge defaults < file < overrides, reject unknown keys, validate;
-    an unreadable file raises ConfigurationError."""
+    an unreadable file raises ConfigurationError.  A file's ``_derived``
+    block (an echo's) is dropped: derived values follow from the values."""
     values = {key: spec.default for key, spec in SCHEMA.items()}
     raw = {}
     if path is not None:
@@ -311,6 +312,7 @@ def parse_config(
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigurationError(f"config file {path} must be a flat mapping")
+        raw.pop("_derived", None)
     for source, items in ((f"in {path}", raw), ("in overrides", overrides or {})):
         for key, val in items.items():
             if key not in SCHEMA:

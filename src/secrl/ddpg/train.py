@@ -69,9 +69,13 @@ class Trainer:
         self.stop_requested = False
         self.obs = env.reset(seed=seed)
 
+    def _episode_record(self) -> EpisodeRecord:
+        """The curve row of the episode in flight, of at least one step."""
+        return EpisodeRecord(self.episode, self.episode_steps,
+                             self.episode_reward_sum / self.episode_steps)
+
     def _finish_episode(self) -> None:
-        mean_r = self.episode_reward_sum / max(self.episode_steps, 1)
-        self.curve.append(EpisodeRecord(self.episode, self.episode_steps, mean_r))
+        self.curve.append(self._episode_record())
         self.episode += 1
         self.episode_steps = 0
         self.episode_reward_sum = 0.0
@@ -123,11 +127,8 @@ class Trainer:
         # Close out a partial episode in the returned curve only; the
         # trainer keeps in-flight accumulators so a resumed run continues
         # the episode instead of double-counting it.
-        result_curve = list(self.curve)
-        if self.episode_steps > 0:
-            mean_r = self.episode_reward_sum / self.episode_steps
-            result_curve.append(EpisodeRecord(self.episode, self.episode_steps, mean_r))
-        return TrainResult(agent=self.agent, curve=result_curve, events=self.events)
+        partial = [self._episode_record()] if self.episode_steps else []
+        return TrainResult(agent=self.agent, curve=self.curve + partial, events=self.events)
 
     # -- checkpointing ---------------------------------------------------
 

@@ -349,10 +349,10 @@ def _run_one(cfg: RunConfig, cases: list[TestCase], pi_gains: CascadeGains | Non
     return record
 
 
-def run_experiment(cfg: RunConfig, out_dir: str | Path) -> dict:
-    """Full comparison: train/evaluate every (variant, seed) on the
-    plant's two frozen test cases, aggregate."""
-    out_dir = Path(out_dir)
+def run_experiment(cfg: RunConfig) -> dict:
+    """Full comparison into the config's ``out_dir``: train/evaluate every
+    (variant, seed) on the plant's two frozen test cases, aggregate."""
+    out_dir = Path(cfg["out_dir"])
     case_seed = cfg["experiment.testcase_seed"]
     plant = PLANTS[cfg["env.kind"]]
     cases = [make_testcase(cfg, kind, case_seed + k) for k, kind in enumerate(plant.cases)]
@@ -381,12 +381,12 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> dict:
     try:
         for record in _finished_runs(jobs, cfg["experiment.workers"]):
             records.append(record)
-            _write_reports(cfg, out_dir, records)  # refresh after every run
+            _write_reports(cfg, records)  # refresh after every run
     except KeyboardInterrupt as exc:
         exc.finished_runs = len(records)
         raise
     records.sort(key=lambda r: (r["variant"], r["seed"]))
-    return _write_reports(cfg, out_dir, records)
+    return _write_reports(cfg, records)
 
 
 def _finished_runs(jobs: list[tuple], workers: int):
@@ -462,8 +462,8 @@ def write_report(path: Path, records: list[dict]) -> None:
                for row in rec["rows"]))
 
 
-def _write_reports(cfg: RunConfig, out_dir: Path, records: list[dict]) -> dict:
-    write_report(out_dir / "report.csv", records)
+def _write_reports(cfg: RunConfig, records: list[dict]) -> dict:
+    write_report(Path(cfg["out_dir"]) / "report.csv", records)
 
     # Aggregate box statistics per (variant, headline metric).
     summary: dict = {"env_kind": cfg["env.kind"], "runs": [], "metrics": {}}
@@ -493,6 +493,6 @@ def _write_reports(cfg: RunConfig, out_dir: Path, records: list[dict]) -> dict:
             summary["metrics"][metric]["best_improvement_fraction"] = (
                 (abs(best_ddpg) - abs(best_sec)) / abs(best_ddpg) if best_ddpg != 0 else 0.0
             )
-    with atomic_write(out_dir / "summary.json", text=True) as fh:
+    with atomic_write(Path(cfg["out_dir"]) / "summary.json", text=True) as fh:
         fh.write(json.dumps(summary, indent=1))
     return summary

@@ -140,7 +140,10 @@ class TestCase:
         """The saved case; an unreadable or malformed file raises
         ConfigurationError."""
         with _reading(path, "test case") as (meta, data):
-            meta = {key: meta[key] for key in ("kind", "seed", "duration", "segment_length")}
+            keys = ("kind", "seed", "duration", "segment_length")
+            if lacking := [key for key in keys if key not in meta]:
+                raise ConfigurationError(f"meta lacks {lacking[0]!r}")
+            meta = {key: meta[key] for key in keys}
             shape = (meta["duration"], *_meta_plant(**meta).payload)
             # The directory's size bounds the payload before it is allocated.
             if data.getinfo("payload.npy").file_size < 8 * np.prod(shape):

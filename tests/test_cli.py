@@ -103,7 +103,7 @@ def test_gen_testcase_and_eval_untrained_agent(tmp_path, capsys):
                "--override", "env.kind=motor"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert "steady_state_mean" in payload["metrics"]
+    assert "steady_state_mean" in payload["metrics"][case.case_id]
     report = (tmp_path / "evalout" / "report.csv").read_text().splitlines()
     segment_rows = [r for r in report if "segment_mean_" in r]
     assert len(segment_rows) == 20
@@ -566,20 +566,33 @@ def test_second_sigint_during_the_interrupt_snapshot_keeps_it(tmp_path, capsys, 
     assert _snapshot_step(out / "checkpoint.npz") == 16
 
 
+MISSING = object()  # a meta key left out
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", "7"), ("seed", -3), ("segment_length", 500.0), ("seed", 7.5), ("seed", True),
-    ("kind", ["motor-steadystate"])])
+    ("kind", ["motor-steadystate"]), pytest.param("seed", MISSING, id="seed-missing"),
+    pytest.param("meta", [1, 2], id="meta-list")])
 def test_testcase_meta_must_hold_a_kind_and_integers(paused_run, tmp_path, capsys, field, value):
     root, _, case_path = paused_run
     with np.load(case_path) as data:
         meta, payload = json.loads(str(data["meta"])), data["payload"]
+    if field == "meta":
+        meta = value
+    else:
+        meta = {key: v for key, v in {**meta, field: value}.items() if v is not MISSING}
     bad = tmp_path / "case.npz"
-    np.savez(bad, payload=payload, meta=json.dumps({**meta, field: value}))
+    np.savez(bad, payload=payload, meta=json.dumps(meta))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(root / "head" / "agent.npz"), "--testcase", str(bad),
                  "--override", "env.kind=motor", "--out", str(tmp_path / "evalout")]) == 2
-    error = (f"unknown test case kind {value!r}" if field == "kind"
-             else f"{field} must be an integer >= 0, got {value!r}")
+    if value is MISSING:
+        error = f"meta lacks {field!r}"
+    elif field == "meta":
+        error = "member meta: list, expected a JSON object"
+    else:
+        error = (f"unknown test case kind {value!r}" if field == "kind"
+                 else f"{field} must be an integer >= 0, got {value!r}")
     assert _error_record(capsys) == {
         "error": "configuration", "message": f"cannot read test case {bad}: {error}"}
     assert not (tmp_path / "evalout").exists()
@@ -683,6 +696,61 @@ def test_eval_echo_names_the_checkpoint_plant(tmp_path, capsys):
     echo = yaml.safe_load((evalout / "effective_config.yaml").read_text())
     assert echo["env.kind"] == "motor"
     assert (evalout / "report.csv").exists()
+
+
+def test_eval_headline_keeps_each_cases_metrics(paused_run, tmp_path, capsys):
+    root, _, steady_path = paused_run
+    assert main(["gen-testcase", "--kind", "motor-reference-profile", "--seed", "8",
+                 "--steps", "1000", "--out", str(tmp_path / "cases")]) == 0
+    profile = TestCase.load(capsys.readouterr().out.strip())
+    steady = TestCase.load(steady_path)
+    assert main(["eval", "--checkpoint", str(root / "head" / "agent.npz"),
+                 "--testcase", str(tmp_path / "cases" / f"testcase-{profile.case_id}.npz"),
+                 "--testcase", str(steady_path), "--override", "env.kind=motor",
+                 "--out", str(tmp_path / "evalout")]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    report = [line.split(",") for line in
+              (tmp_path / "evalout" / "report.csv").read_text().splitlines()[1:]]
+    scored = {(case_id, metric): float(value) for _, _, case_id, metric, value in report}
+    assert payload["metrics"] == {
+        profile.case_id: {"mean_reward": scored[profile.case_id, "mean_reward"]},
+        steady.case_id: {"mean_reward": scored[steady.case_id, "mean_reward"],
+                         "steady_state_mean": scored[steady.case_id, "steady_state_mean"]}}
+
+
+def test_train_rerun_from_its_config_echo_writes_the_same_agent(tmp_path):
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert main(["train", "--seed", "3", "--out", str(first), "--override", "env.kind=motor",
+                 "--override", "sec.t_i=0.5", *FAST_TRAIN]) == 0
+    assert main(["train", "--config", str(first / "effective_config.yaml"),
+                 "--out", str(rerun)]) == 0
+    assert _npz_members(rerun / "agent.npz") == _npz_members(first / "agent.npz")
+
+
+def _agent_with_t_i_half(paused_run, tmp_path) -> list[str]:
+    """``eval`` arguments scoring the paused run's agent, saved with
+    t_i = 0.5, on its motor steady-state case."""
+    root, _, case_path = paused_run
+    agent, extra = load_agent(root / "head" / "agent.npz")
+    save_agent(tmp_path / "agent.npz", agent, extra={**extra, "sec": {"t_i": 0.5, "t_aw": 0.66}})
+    return ["--checkpoint", str(tmp_path / "agent.npz"), "--testcase", str(case_path)]
+
+
+def test_eval_echo_names_the_agents_integrator_settings(paused_run, tmp_path):
+    # Under the default config: grid, t_i = 0.31.
+    assert main(["eval", *_agent_with_t_i_half(paused_run, tmp_path),
+                 "--out", str(tmp_path / "evalout")]) == 0
+    echo = yaml.safe_load((tmp_path / "evalout" / "effective_config.yaml").read_text())
+    assert (echo["env.kind"], echo["sec.t_i"], echo["sec.t_aw"]) == ("motor", 0.5, 0.66)
+
+
+def test_eval_rerun_from_its_config_echo_writes_the_same_report(paused_run, tmp_path):
+    scored = _agent_with_t_i_half(paused_run, tmp_path)
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert main(["eval", *scored, "--seed", "4", "--out", str(first)]) == 0
+    assert main(["eval", *scored, "--config", str(first / "effective_config.yaml"),
+                 "--out", str(rerun)]) == 0
+    assert (rerun / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
 
 
 def test_refused_eval_leaves_out_untouched(paused_run, tmp_path, capsys):

@@ -133,8 +133,9 @@ class TestRollout:
 
 class TestRunExperiment:
     def test_zero_training_steps_report_exists(self, tmp_path):
-        cfg = motor_cfg(**{"experiment.variants": ["sec-ddpg"], "experiment.seeds": [1]})
-        summary = run_experiment(cfg, tmp_path)
+        cfg = motor_cfg(**{"experiment.variants": ["sec-ddpg"], "experiment.seeds": [1],
+                           "out_dir": str(tmp_path)})
+        summary = run_experiment(cfg)
         assert summary["runs"][0]["status"] == "ok"
         report = (tmp_path / "report.csv").read_text().splitlines()
         # untrained policy still yields the full metric set
@@ -145,8 +146,9 @@ class TestRunExperiment:
         cfg = motor_cfg(**{
             "experiment.variants": ["ddpg", "sec-ddpg"],
             "experiment.seeds": [1, 2, 3, 4, 5],
+            "out_dir": str(tmp_path),
         })
-        run_experiment(cfg, tmp_path)
+        run_experiment(cfg)
         report = (tmp_path / "report.csv").read_text().splitlines()
         for variant in ("ddpg", "sec-ddpg"):
             rows = [r for r in report
@@ -157,8 +159,9 @@ class TestRunExperiment:
         cfg = motor_cfg(**{
             "experiment.variants": ["ddpg", "sec-ddpg"],
             "experiment.seeds": [1, 2],
+            "out_dir": str(tmp_path),
         })
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg)
         stats = summary["metrics"]["steady_state_mean"]
         assert "median_improvement_sec_vs_ddpg" in stats
         assert "best_improvement_fraction" in stats
@@ -167,9 +170,10 @@ class TestRunExperiment:
         assert persisted["env_kind"] == "motor"
 
     def test_frozen_cases_evaluate_identically(self, tmp_path):
-        cfg = motor_cfg(**{"experiment.variants": ["pi"], "experiment.seeds": [7]})
-        s1 = run_experiment(cfg, tmp_path / "a")
-        s2 = run_experiment(cfg, tmp_path / "b")
+        cfgs = [motor_cfg(**{"experiment.variants": ["pi"], "experiment.seeds": [7],
+                             "out_dir": str(tmp_path / run)}) for run in ("a", "b")]
+        s1 = run_experiment(cfgs[0])
+        s2 = run_experiment(cfgs[1])
         r1 = (tmp_path / "a" / "report.csv").read_text()
         r2 = (tmp_path / "b" / "report.csv").read_text()
         assert r1 == r2
@@ -179,16 +183,17 @@ class TestRunExperiment:
             "experiment.variants": ["ddpg", "sec-ddpg", "pi"],
             "experiment.seeds": [1],
             "experiment.workers": 2,
+            "out_dir": str(tmp_path),
         })
         sizes = []
         write_reports = experiment._write_reports
 
-        def counting(cfg, out_dir, records):
+        def counting(cfg, records):
             sizes.append(len(records))
-            return write_reports(cfg, out_dir, records)
+            return write_reports(cfg, records)
 
         monkeypatch.setattr(experiment, "_write_reports", counting)
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg)
         # One refresh per finished run, then the final sorted write.
         assert sizes == [1, 2, 3, 3]
         assert [r["status"] for r in summary["runs"]] == ["ok"] * 3
@@ -200,9 +205,10 @@ class TestRunExperiment:
             "experiment.variants": ["ddpg"],
             "experiment.seeds": [1],
             "env.motor.reference_hold_prob": 0.99,
+            "out_dir": str(tmp_path),
         })
         cfg.values["env.motor.reference_radius"] = -0.5  # past validation on purpose
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg)
         assert summary["runs"][0]["status"] == "failed"
         assert "error" in summary["runs"][0]
         assert (tmp_path / "report.csv").exists()
@@ -216,8 +222,9 @@ class TestCompareRunArtifacts:
             "train.checkpoint_every": 60,
             "experiment.variants": ["ddpg", "sec-ddpg"],
             "experiment.seeds": [2],
+            "out_dir": str(tmp_path),
         })
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg)
         assert [r["status"] for r in summary["runs"]] == ["ok", "ok"]
         for variant in ("ddpg", "sec-ddpg"):
             run_dir = tmp_path / f"{variant}-seed2"
@@ -237,12 +244,12 @@ class TestCompareRunArtifacts:
             r"(report\.csv|summary\.json|[^/]+/(agent\.npz:.+|learning_curve\.csv|events\.json))$")
         digests = []
         for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
             cfg = parse_config(None, {**FAST, **self.TRAIN, "env.kind": "grid",
                                       "experiment.variants": ["ddpg", "sec-ddpg", "pi"],
                                       "experiment.seeds": [1, 2], "experiment.pi_tune_steps": 100,
-                                      "experiment.workers": workers})
-            out = tmp_path / f"workers{workers}"
-            summary = run_experiment(cfg, out)
+                                      "experiment.workers": workers, "out_dir": str(out)})
+            summary = run_experiment(cfg)
             assert [r["status"] for r in summary["runs"]] == ["ok"] * 6
             # summary.json without train_seconds, npz files member by member
             digests.append([line for line in run_digests.digest_lines(out)
@@ -261,8 +268,9 @@ class TestCompareRunArtifacts:
         monkeypatch.setattr(train_module, "critic_update", failing_update)
         cfg = motor_cfg(**self.TRAIN, **{
             "experiment.variants": ["sec-ddpg"], "experiment.seeds": [1],
+            "out_dir": str(tmp_path),
         })
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg)
         assert summary["runs"][0]["status"] == "failed"
         assert "injected critic fault" in summary["runs"][0]["error"]
         events = json.loads((tmp_path / "sec-ddpg-seed1" / "events.json").read_text())
